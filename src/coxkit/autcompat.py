@@ -18,7 +18,8 @@ from .diagram import (INF, is_crystallographic, is_irreducible, is_spherical,
                       spherical_order)
 from .finite import FiniteGroup
 from .quotients import SeparationWitness, separate
-from .words import (Element, IDENTITY, _conj_bfs, conjugate, element_order,
+from .words import (Element, IDENTITY, _conj_orbit, _conjugator, _generators,
+                    _orbit, _path_moves, _right_orbit, conjugate, element_order,
                     invert, multiply, parse_word, format_word, reduce, support)
 
 
@@ -199,21 +200,6 @@ def _finite_model(M, budget):
     return G
 
 
-def _fg_class_parents(G, x):
-    parents = {x: ()}
-    queue = [x]
-    qi = 0
-    while qi < len(queue):
-        z = queue[qi]
-        qi += 1
-        for s in range(G.n):
-            z2 = G.conj_by_gen(s, z)
-            if z2 not in parents:
-                parents[z2] = (s,) + parents[z]
-                queue.append(z2)
-    return parents
-
-
 def _conj_to_any(M, x, targets, budget):
     """Try to conjugate x onto one of the targets.
 
@@ -224,19 +210,20 @@ def _conj_to_any(M, x, targets, budget):
     x = reduce(M, x, budget.steps)
     G = _finite_model(M, budget)
     if G is not None:
-        parents = _fg_class_parents(G, G.index_of(x.letters))
+        _, parent = _orbit(G.index_of(x.letters), range(G.n),
+                           lambda z, s: G.conj_by_gen(s, z))
         for t in targets:
             ti = G.index_of(t.letters)
-            if ti in parents:
-                g = reduce(M, parents[ti], budget.steps)
+            if ti in parent:
+                g = reduce(M, tuple(_path_moves(parent, ti)), budget.steps)
                 assert conjugate(M, g, x, budget.steps) == t
                 return t, g
         return False
-    status, parents = _conj_bfs(M, x, radius=budget.radius,
-                                size_cap=budget.class_cap, steps=budget.steps)
+    status, parent = _conj_orbit(M, x, radius=budget.radius, cap=budget.class_cap,
+                                 steps=budget.steps)
     for t in targets:
-        if t in parents:
-            g = parents[t]
+        if t in parent:
+            g = _conjugator(M, parent, t, budget.steps)
             assert conjugate(M, g, x, budget.steps) == t
             return t, g
     if status == "closed":
@@ -276,31 +263,16 @@ def _pair_conj_search(M, s, t, dstset, budget):
 
     Returns (w, 'found'), (None, 'closed') or (None, 'exhausted').
     """
-    start = (s, t)
-    parents = {start: IDENTITY}
-    if s in dstset and t in dstset:
-        return IDENTITY, "found"
-    frontier = [start]
-    for _ in range(budget.radius):
-        new = []
-        for st_pair in frontier:
-            u, v = st_pair
-            for a in range(M.n):
-                g = Element((a,))
-                key = (conjugate(M, g, u, budget.steps),
-                       conjugate(M, g, v, budget.steps))
-                if key in parents:
-                    continue
-                parents[key] = multiply(M, g, parents[st_pair], budget.steps)
-                if key[0] in dstset and key[1] in dstset:
-                    return parents[key], "found"
-                if len(parents) > budget.class_cap:
-                    return None, "exhausted"
-                new.append(key)
-        if not new:
-            return None, "closed"
-        frontier = new
-    return None, "exhausted"
+    def step(pair, g):
+        return (conjugate(M, g, pair[0], budget.steps),
+                conjugate(M, g, pair[1], budget.steps))
+
+    status, parent = _orbit((s, t), _generators(M), step,
+                            budget.radius, budget.class_cap,
+                            lambda pair: pair[0] in dstset and pair[1] in dstset)
+    if status != "found":
+        return None, status
+    return _conjugator(M, parent, next(reversed(parent)), budget.steps), status
 
 
 def _angle_compat(M, pair, budget):
@@ -331,25 +303,8 @@ def _angle_compat(M, pair, budget):
 
 
 def _ball_capped(M, radius, cap, steps):
-    gens = [Element((s,)) for s in range(M.n)]
-    seen = {IDENTITY}
-    out = [IDENTITY]
-    frontier = [IDENTITY]
-    for _ in range(radius):
-        new = []
-        for w in frontier:
-            for g in gens:
-                z = multiply(M, w, g, steps)
-                if z not in seen:
-                    seen.add(z)
-                    out.append(z)
-                    new.append(z)
-                    if len(out) >= cap:
-                        return out
-        if not new:
-            break
-        frontier = new
-    return out
+    """The first cap elements of the ball of that radius, in ShortLex order."""
+    return list(_right_orbit(M, _generators(M), radius, cap - 1, steps)[1])
 
 
 def _conjugator_domain(M, budget):
@@ -533,30 +488,21 @@ def compat_report(M, pair, budget=DEFAULT, check_generation=True):
 
 def _check_generation(M, S2, budget):
     G = _finite_model(M, budget)
-    want = {Element((i,)) for i in range(M.n)}
     if G is not None:
         sub = G.subgroup([G.index_of(x.letters) for x in S2])
         if len(sub) != G.size:
             raise ValueError("S2 generates a proper subgroup of order %d" % len(sub))
         return
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
+    want = {Element((i,)) for i in range(M.n)}
+
+    def all_seen(z):
+        want.discard(z)
+        return not want
+
     S2 = [reduce(M, x, budget.steps) for x in S2]
-    for _ in range(budget.radius):
-        want -= seen
-        if not want:
-            return
-        new = []
-        for w in frontier:
-            for v in S2:
-                z = multiply(M, w, v, budget.steps)
-                if z not in seen:
-                    if len(seen) >= budget.enum_cap:
-                        raise ValueError("could not verify generation within budget")
-                    seen.add(z)
-                    new.append(z)
-        frontier = new
-    if want - seen:
+    status, _ = _right_orbit(M, S2, budget.radius, budget.enum_cap, budget.steps,
+                             all_seen)
+    if status != "found":
         raise ValueError("could not verify generation within budget")
 
 

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import autcompat
-from .budgets import SearchBudget
+from .budgets import DEFAULT, SearchBudget
 from .diagram import classify, is_even, parse_matrix, theorem12_applicable
 from .evenconj import (ClosedClassCertificate, ComponentCertificate,
                        Conjugate, CriterionCertificate, NotConjugate,
@@ -106,6 +106,12 @@ def _cert_lines(cert, prefix=""):
     return out
 
 
+def _check(cond, what):
+    """Fail a --verify re-check; unlike assert, this also runs under python -O."""
+    if not cond:
+        raise AssertionError("verify failed: %s" % what)
+
+
 def _decide_generic(M, x, y, budget):
     """Sound conjugacy fallback for matrices outside the even case."""
     if x == y:
@@ -143,9 +149,11 @@ def _cmd_reduce(M, args, budget, out):
     out.append(("reduced", format_word(r)))
     out.append(("length", str(len(r.letters))))
     if args.verify:
-        assert reduce(M, w + tuple(reversed(r.letters)), budget.steps) == IDENTITY
+        _check(reduce(M, w + tuple(reversed(r.letters)), budget.steps) == IDENTITY,
+               "word times inverse of its reduction")
         cls = braid_class(M, r, budget.steps)
-        assert r.letters == min((c for c in cls), key=lambda c: (len(c), c))
+        _check(r.letters == min(cls, key=lambda c: (len(c), c)),
+               "ShortLex-least word of the braid class")
         out.append(("verify", "ok"))
     return 0
 
@@ -172,7 +180,7 @@ def _cmd_conj(M, args, budget, out):
         out.append(("reason", d.reason))
         code = 2
     if args.verify and code == 0:
-        assert verify_decision(M, x, y, d, budget)
+        _check(verify_decision(M, x, y, d, budget), "conjugacy certificate")
         out.append(("verify", "ok"))
     return code
 
@@ -197,7 +205,7 @@ def _cmd_pc(M, args, budget, out):
     out.append(("parabolic_g", format_word(P.g)))
     out.append(("parabolic_J", _fmt_indexset(P.J)))
     if args.verify:
-        assert member(M, P, x, budget.steps)
+        _check(member(M, P, x, budget.steps), "x lies in its closure")
         out.append(("verify", "ok"))
     return code
 
@@ -214,8 +222,8 @@ def _cmd_retract(M, args, budget, out):
     out.append(("result", format_word(r)))
     if args.verify:
         kept = tuple(a for a in reduce(M, w, budget.steps).letters if a in I)
-        assert reduce(M, kept, budget.steps) == r
-        assert all(a in I for a in r.letters)
+        _check(reduce(M, kept, budget.steps) == r, "retraction of the reduced word")
+        _check(all(a in I for a in r.letters), "result lies in W_I")
         out.append(("verify", "ok"))
     return 0
 
@@ -242,7 +250,8 @@ def _cmd_separate(M, args, budget, out):
     if args.verify and code == 0:
         xi = res.hom.image_of(x)
         yi = res.hom.image_of(y)
-        assert res.hom.image.are_conjugate(xi, yi) is False
+        _check(res.hom.image.are_conjugate(xi, yi) is False,
+               "images not conjugate in the quotient")
         out.append(("verify", "ok"))
     return code
 
@@ -285,7 +294,8 @@ def _cmd_autcheck(M, args, budget, out):
         return 1
     out.append(("verified", "yes"))
     pair = autcompat.pair_from_spec(M, spec)
-    rep = autcompat.compat_report(M, pair, budget)
+    # The verified inverse images write each generator as a word in S2.
+    rep = autcompat.compat_report(M, pair, budget, check_generation=False)
     _compat_lines("reflection", rep.reflection, out)
     _compat_lines("angle", rep.angle, out)
     _compat_lines("parabolic", rep.parabolic, out)
@@ -297,7 +307,8 @@ def _cmd_autcheck(M, args, budget, out):
         if args.verify:
             for i in range(M.n):
                 img = autcompat.apply_aut(M, spec, (i,), budget.steps)
-                assert conjugate(M, res.w, img, budget.steps) == Element((res.perm[i],))
+                _check(conjugate(M, res.w, img, budget.steps) == Element((res.perm[i],)),
+                       "w conjugates the image of generator %d" % (i + 1))
             out.append(("verify", "ok"))
         return 0
     if isinstance(res, autcompat.NotInnerByGraph):
@@ -327,7 +338,8 @@ def _cmd_smallwords(M, args, budget, out):
         if args.verify:
             for i in range(M.n):
                 img = autcompat.apply_aut(M, spec, (i,), budget.steps)
-                assert conjugate(M, res.g, Element((i,)), budget.steps) == img
+                _check(conjugate(M, res.g, Element((i,)), budget.steps) == img,
+                       "g conjugates generator %d onto its image" % (i + 1))
             out.append(("verify", "ok"))
         return 0
     if isinstance(res, autcompat.NotPointwiseSmall):
@@ -356,12 +368,12 @@ _HANDLERS = {
 def _add_flags(p, top):
     """The shared flags; subparsers suppress defaults so either side wins."""
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
-    p.add_argument("--radius", type=int, default=d(8),
-                   help="conjugation search radius (default 8)")
-    p.add_argument("--steps", type=int, default=d(10 ** 6),
-                   help="braid rewriting step cap (default 1000000)")
-    p.add_argument("--cosets", type=int, default=d(10 ** 4),
-                   help="coset enumeration cap (default 10000)")
+    p.add_argument("--radius", type=int, default=d(DEFAULT.radius),
+                   help="conjugation search radius (default %d)" % DEFAULT.radius)
+    p.add_argument("--steps", type=int, default=d(DEFAULT.steps),
+                   help="braid rewriting step cap (default %d)" % DEFAULT.steps)
+    p.add_argument("--cosets", type=int, default=d(DEFAULT.cosets),
+                   help="coset enumeration cap (default %d)" % DEFAULT.cosets)
     p.add_argument("--verify", action="store_true", default=d(False),
                    help="re-verify certificates with the word engine")
     p.add_argument("--plan", action="store_true", default=d(False),

@@ -17,8 +17,8 @@ from .diagram import (INF, component_ids, components, is_even, is_spherical,
                       restrict_letters, spherical_order, submatrix)
 from .quotients import (SeparationNotFound, SeparationWitness, abelianize_even,
                         separate)
-from .words import (Element, IDENTITY, _conj_bfs, conjugate, element_order,
-                    invert, multiply, reduce, support)
+from .words import (Element, IDENTITY, _conj_orbit, _conjugator, conjugate,
+                    element_order, invert, multiply, reduce, support)
 
 
 def retraction_valid(M, I):
@@ -158,23 +158,23 @@ def _decide_sub(M, S, x, y, budget):
 def _min_support_conjugate(M, x, budget):
     """Search the conjugation orbit for an element of smaller support.
 
-    Returns (x', a, closed, class_size) with a x a^-1 = x'.
+    Returns (x', a) with a x a^-1 = x'.
     """
-    status, parents = _conj_bfs(M, x, radius=budget.radius,
-                                size_cap=budget.class_cap, steps=budget.steps)
-    best = min(parents, key=lambda z: (len(support(z)), len(z.letters), z.letters))
-    return best, parents[best], status == "closed", len(parents)
+    _, parent = _conj_orbit(M, x, radius=budget.radius, cap=budget.class_cap,
+                            steps=budget.steps)
+    best = min(parent, key=lambda z: (len(support(z)), len(z.letters), z.letters))
+    return best, _conjugator(M, parent, best, budget.steps)
 
 
 def _conjugate_fallback(M, x, y, budget):
-    status, parents = _conj_bfs(M, x, target=y, radius=budget.radius,
-                                size_cap=budget.class_cap, steps=budget.steps)
+    status, parent = _conj_orbit(M, x, target=y, radius=budget.radius,
+                                 cap=budget.class_cap, steps=budget.steps)
     if status == "found":
-        g = parents[y]
+        g = _conjugator(M, parent, y, budget.steps)
         assert conjugate(M, g, x, budget.steps) == y
         return Conjugate(g)
     if status == "closed":
-        return NotConjugate(ClosedClassCertificate(len(parents)))
+        return NotConjugate(ClosedClassCertificate(len(parent)))
     wit = separate(M, x, y, budget=budget)
     if isinstance(wit, SeparationWitness):
         return NotConjugate(QuotientCertificate(wit))
@@ -229,19 +229,19 @@ def decide_conjugacy_even(M, x, y, budget=DEFAULT):
 
     if is_spherical(M, frozenset(range(M.n))):
         order = spherical_order(M, frozenset(range(M.n)))
-        status, parents = _conj_bfs(M, x, target=y,
-                                    size_cap=max(order, budget.class_cap),
-                                    steps=budget.steps)
+        status, parent = _conj_orbit(M, x, target=y,
+                                     cap=max(order, budget.class_cap),
+                                     steps=budget.steps)
         if status == "found":
-            g = parents[y]
+            g = _conjugator(M, parent, y, budget.steps)
             assert conjugate(M, g, x, budget.steps) == y
             return Conjugate(g)
         assert status == "closed"
-        return NotConjugate(ClosedClassCertificate(len(parents)))
+        return NotConjugate(ClosedClassCertificate(len(parent)))
 
     if M.n > 1:
-        x2, a, _, _ = _min_support_conjugate(M, x, budget)
-        y2, b, _, _ = _min_support_conjugate(M, y, budget)
+        x2, a = _min_support_conjugate(M, x, budget)
+        y2, b = _min_support_conjugate(M, y, budget)
         I, J = support(x2), support(y2)
         if len(I) < M.n and len(J) < M.n:
             res = _criterion_decide(M, I, J, x2, y2, budget)
@@ -322,10 +322,10 @@ def _verify_cert(M, x, y, cert, budget):
         return (xi == cert.witness.x_img and yi == cert.witness.y_img
                 and hom.image.are_conjugate(xi, yi) is False)
     if isinstance(cert, ClosedClassCertificate):
-        status, parents = _conj_bfs(M, x, target=y,
-                                    size_cap=max(cert.class_size, budget.class_cap),
-                                    steps=budget.steps)
-        return status == "closed" and len(parents) == cert.class_size
+        status, parent = _conj_orbit(M, x, target=y,
+                                     cap=max(cert.class_size, budget.class_cap),
+                                     steps=budget.steps)
+        return status == "closed" and len(parent) == cert.class_size
     if isinstance(cert, ComponentCertificate):
         cset = frozenset(cert.component)
         ids = component_ids(M)

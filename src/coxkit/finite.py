@@ -7,7 +7,7 @@ group structure a caller needs (multiplication against generators,
 inverses, conjugation, conjugacy classes) is precomputed into flat lists.
 """
 
-from .words import Element, IDENTITY, multiply
+from .words import IDENTITY, _generators, _orbit, multiply
 
 
 class FiniteGroup:
@@ -23,29 +23,8 @@ class FiniteGroup:
     @classmethod
     def from_matrix(cls, M, cap=10 ** 5):
         """Build via the word engine; None if the group outgrows cap."""
-        n = M.n
-        gens = [Element((s,)) for s in range(n)]
-        words = [()]
-        index = {IDENTITY: 0}
-        right = [[] for _ in range(n)]
-        frontier = [IDENTITY]
-        elems = [IDENTITY]
-        while frontier:
-            new = []
-            for e in frontier:
-                for s in range(n):
-                    z = multiply(M, e, gens[s])
-                    if z not in index:
-                        if len(elems) >= cap:
-                            return None
-                        index[z] = len(elems)
-                        elems.append(z)
-                        words.append(z.letters)
-                        new.append(z)
-            frontier = new
-        for s in range(n):
-            right[s] = [index[multiply(M, e, gens[s])] for e in elems]
-        return cls(n, right, words)
+        gens = _generators(M)
+        return cls._build(M.n, IDENTITY, lambda e, s: multiply(M, e, gens[s]), cap)
 
     @classmethod
     def from_action(cls, n, act, cap=10 ** 6):
@@ -55,30 +34,19 @@ class FiniteGroup:
         of the base point under composing generators, found breadth first
         in index order so words come out ShortLex.
         """
-        base = act.start()
-        index = {base: 0}
-        points = [base]
-        words = [()]
-        right = [[] for _ in range(n)]
-        queue = [base]
-        qi = 0
-        while qi < len(queue):
-            p = queue[qi]
-            qi += 1
-            i = index[p]
-            for s in range(n):
-                q = act.step(p, s)
-                j = index.get(q)
-                if j is None:
-                    if len(points) >= cap:
-                        return None
-                    j = len(points)
-                    index[q] = j
-                    points.append(q)
-                    words.append(words[i] + (s,))
-                    queue.append(q)
-        for s in range(n):
-            right[s] = [index[act.step(p, s)] for p in points]
+        return cls._build(n, act.start(), act.step, cap)
+
+    @classmethod
+    def _build(cls, n, base, step, cap):
+        """Index the orbit of base; each word is the path that first reached it."""
+        status, parent = _orbit(base, range(n), step, cap=cap)
+        if status != "closed":
+            return None
+        index = {p: i for i, p in enumerate(parent)}
+        words = []
+        for q, s in parent.values():
+            words.append(() if q is None else words[index[q]] + (s,))
+        right = [[index[step(p, s)] for p in parent] for s in range(n)]
         return cls(n, right, words)
 
     def index_of(self, word):
@@ -121,18 +89,8 @@ class FiniteGroup:
         return self._conj[s][x]
 
     def conjugacy_class(self, x):
-        seen = {x}
-        queue = [x]
-        qi = 0
-        while qi < len(queue):
-            z = queue[qi]
-            qi += 1
-            for s in range(self.n):
-                z2 = self.conj_by_gen(s, z)
-                if z2 not in seen:
-                    seen.add(z2)
-                    queue.append(z2)
-        return frozenset(seen)
+        _, parent = _orbit(x, range(self.n), lambda z, s: self.conj_by_gen(s, z))
+        return frozenset(parent)
 
     def conjugacy_classes(self):
         left = set(range(self.size))
@@ -149,19 +107,8 @@ class FiniteGroup:
 
     def subgroup(self, seeds):
         """Closure of some element indices under multiplication."""
-        seeds = sorted(set(seeds) | {0})
-        seen = set(seeds)
-        queue = list(seeds)
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            for b in seeds:
-                c = self.mult(a, b)
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        return frozenset(seen)
+        _, parent = _orbit(0, sorted(set(seeds)), self.mult)
+        return frozenset(parent)
 
     def order_of(self, x):
         k = 1

@@ -16,8 +16,8 @@ from .budgets import DEFAULT
 from .diagram import (component_ids, components, embed_letters, is_spherical,
                       restrict_letters, spherical_order, submatrix)
 from .finite import FiniteGroup
-from .words import (Element, IDENTITY, _conj_bfs, conjugate, invert, multiply,
-                    reduce, support)
+from .words import (Element, IDENTITY, _conj_orbit, _conjugator, _orbit,
+                    _path_moves, conjugate, invert, multiply, reduce, support)
 
 
 @dataclass(frozen=True)
@@ -151,26 +151,16 @@ def _pc_finite(M, x, budget):
     G = FiniteGroup.from_matrix(M, cap=budget.enum_cap)
     if G is None:
         return PcBounded(standard(range(M.n)), 0)
-    xi = G.index_of(x.letters)
-    parents = {xi: 0}
-    queue = [xi]
-    qi = 0
-    while qi < len(queue):
-        z = queue[qi]
-        qi += 1
-        for s in range(M.n):
-            z2 = G.conj_by_gen(s, z)
-            if z2 not in parents:
-                parents[z2] = G.mult(G.index_of((s,)), parents[z])
-                queue.append(z2)
+    _, parent = _orbit(G.index_of(x.letters), range(M.n),
+                       lambda z, s: G.conj_by_gen(s, z))
     subsets = sorted((frozenset(K)
                       for r in range(M.n + 1)
                       for K in combinations(range(M.n), r)),
                      key=lambda K: (spherical_order(M, K), len(K), tuple(sorted(K))))
     for K in subsets:
-        for z in sorted(parents):
+        for z in sorted(parent):
             if set(G.word(z)) <= K:
-                g = G.inverse(parents[z])
+                g = G.inverse(G.index_of(_path_moves(parent, z)))
                 return PcExact(Parabolic(reduce(M, G.word(g)), K))
     raise AssertionError("full subset always contains the class")
 
@@ -219,14 +209,14 @@ def pc_element(M, x, budget=DEFAULT):
         return _pc_finite(M, x, budget)
     if _coxeter_power(M, x, budget.steps):
         return PcExact(standard(range(M.n)))
-    status, parents = _conj_bfs(M, x, radius=budget.radius,
-                                size_cap=budget.class_cap, steps=budget.steps)
-    best = min(parents, key=lambda z: (len(support(z)), len(z.letters), z.letters))
+    _, parent = _conj_orbit(M, x, radius=budget.radius, cap=budget.class_cap,
+                            steps=budget.steps)
+    best = min(parent, key=lambda z: (len(support(z)), len(z.letters), z.letters))
     if len(support(best)) < M.n:
-        g = parents[best]
+        g = _conjugator(M, parent, best, budget.steps)
         inner = pc_element(M, best, budget)
         return _conj_pc(M, inner, invert(M, g, budget.steps), budget.steps)
-    for z in sorted(parents, key=lambda z: (len(z.letters), z.letters)):
+    for z in sorted(parent, key=lambda z: (len(z.letters), z.letters)):
         if z != x and _coxeter_power(M, z, budget.steps):
             return PcExact(standard(range(M.n)))
     return PcBounded(standard(range(M.n)), budget.radius)

@@ -18,7 +18,7 @@ from .budgets import DEFAULT
 from .diagram import (INF, coxeter_matrix, is_even, is_spherical,
                       restrict_letters, spherical_order, submatrix)
 from .finite import FiniteGroup
-from .words import Element
+from .words import Element, _orbit
 
 SENTINEL = -1
 
@@ -272,25 +272,12 @@ class _PermImage:
         return tuple(out)
 
     def are_conjugate(self, a, b):
-        if a == b:
-            return True
         if _cycle_type(a) != _cycle_type(b):
             return False
-        seen = {a}
-        queue = deque((a,))
-        while queue:
-            z = queue.popleft()
-            for g in self.gens:
-                gi = self.inverse(g)
-                z2 = self.mult(self.mult(g, z), gi)
-                if z2 == b:
-                    return True
-                if z2 not in seen:
-                    if len(seen) >= self.class_cap:
-                        return None
-                    seen.add(z2)
-                    queue.append(z2)
-        return False
+        moves = [(g, self.inverse(g)) for g in self.gens]
+        status, _ = _orbit(a, moves, lambda z, m: self.mult(self.mult(m[0], z), m[1]),
+                           cap=self.class_cap, stop=lambda z: z == b)
+        return {"found": True, "closed": False}.get(status)
 
     def show(self, a):
         cycles = []

@@ -12,9 +12,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .budgets import DEFAULT
 from .diagram import INF, component_ids
 
-DEFAULT_STEPS = 10 ** 6
+DEFAULT_STEPS = DEFAULT.steps
 
 
 class BudgetExceeded(RuntimeError):
@@ -116,7 +117,7 @@ def _orbit_scan(M, w, budget):
                 continue
             budget[0] -= 1
             if budget[0] < 0:
-                raise BudgetExceeded("braid search exceeded %d steps" % budget[2])
+                raise BudgetExceeded("braid search exceeded %d steps" % budget[1])
             if _scan_pair(nb) is not None:
                 return nb, None
             seen.add(nb)
@@ -180,23 +181,23 @@ def reduce(M, w, steps=DEFAULT_STEPS):
         w = w.letters
     w = tuple(w)
     _check_letters(M, w)
-    budget = [steps, 0, steps]
+    budget = [steps, steps]
     return Element(_reduce_letters(M, w, budget))
 
 
 def multiply(M, a, b, steps=DEFAULT_STEPS):
-    budget = [steps, 0, steps]
+    budget = [steps, steps]
     return Element(_reduce_letters(M, a.letters + b.letters, budget))
 
 
 def invert(M, a, steps=DEFAULT_STEPS):
-    budget = [steps, 0, steps]
+    budget = [steps, steps]
     return Element(_reduce_letters(M, a.letters[::-1], budget))
 
 
 def conjugate(M, g, x, steps=DEFAULT_STEPS):
     """g x g^-1."""
-    budget = [steps, 0, steps]
+    budget = [steps, steps]
     w = g.letters + x.letters + g.letters[::-1]
     return Element(_reduce_letters(M, w, budget))
 
@@ -211,22 +212,10 @@ def braid_class(M, w, steps=DEFAULT_STEPS):
         w = w.letters
     w = tuple(w)
     _check_letters(M, w)
-    budget = [steps, 0, steps]
+    budget = [steps, steps]
     if len(_reduce_letters(M, w, budget)) != len(w):
         raise ValueError("word is not reduced")
-    rows = M.rows
-    seen = {w}
-    queue = deque((w,))
-    while queue:
-        cur = queue.popleft()
-        for nb in _neighbors(rows, cur):
-            if nb not in seen:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceeded("braid search exceeded %d steps" % steps)
-                seen.add(nb)
-                queue.append(nb)
-    return frozenset(seen)
+    return frozenset(_orbit_scan(M, w, budget)[1])
 
 
 def reflections_of(M, w, steps=DEFAULT_STEPS):
@@ -247,42 +236,71 @@ class Infinite:
     cap: int
 
 
+def _orbit(start, moves, step, radius=None, cap=None, stop=None):
+    """Breadth-first orbit of start, trying moves in the order given.
+
+    step(p, m) is the point one move m away from p.  Returns (status,
+    parent), where parent maps every point reached to (previous point,
+    move) in discovery order, start to (None, None).  status is 'found'
+    once stop holds for a point, which is then the last one in parent;
+    'exhausted' once more than cap points are known, or when points at
+    distance radius remain; and 'closed' when the whole orbit is known.
+    """
+    parent = {start: (None, None)}
+    if stop is not None and stop(start):
+        return "found", parent
+    level = [start]
+    depth = 0
+    while level:
+        if radius is not None and depth >= radius:
+            return "exhausted", parent
+        depth += 1
+        new = []
+        for p in level:
+            for m in moves:
+                q = step(p, m)
+                if q in parent:
+                    continue
+                parent[q] = (p, m)
+                if stop is not None and stop(q):
+                    return "found", parent
+                if cap is not None and len(parent) > cap:
+                    return "exhausted", parent
+                new.append(q)
+        level = new
+    return "closed", parent
+
+
+def _path_moves(parent, p):
+    """The moves that lead from the start of an orbit to p, last move first."""
+    out = []
+    p, m = parent[p]
+    while p is not None:
+        out.append(m)
+        p, m = parent[p]
+    return out
+
+
+def _right_orbit(M, gens, radius=None, cap=None, steps=DEFAULT_STEPS, stop=None):
+    """Orbit of the identity under right multiplication by gens."""
+    return _orbit(IDENTITY, gens, lambda w, g: multiply(M, w, g, steps),
+                  radius, cap, stop)
+
+
+def _generators(M):
+    return [Element((s,)) for s in range(M.n)]
+
+
 def enumerate_group(M, cap=10 ** 4, steps=DEFAULT_STEPS):
     """All elements by BFS on right multiplication, or Infinite(cap)."""
-    gens = [Element((s,)) for s in range(M.n)]
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                z = multiply(M, w, g, steps)
-                if z not in seen:
-                    if len(seen) >= cap:
-                        return Infinite(cap)
-                    seen.add(z)
-                    new.append(z)
-        frontier = new
-    return frozenset(seen)
+    status, parent = _right_orbit(M, _generators(M), cap=cap, steps=steps)
+    return frozenset(parent) if status == "closed" else Infinite(cap)
 
 
 def ball(M, radius, steps=DEFAULT_STEPS):
     """Elements of length <= radius, in ShortLex order."""
-    gens = [Element((s,)) for s in range(M.n)]
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    for _ in range(radius):
-        new = []
-        for w in frontier:
-            for g in gens:
-                z = multiply(M, w, g, steps)
-                if z not in seen:
-                    seen.add(z)
-                    new.append(z)
-        if not new:
-            break
-        frontier = new
-    return sorted(seen, key=lambda e: (len(e.letters), e.letters))
+    _, parent = _right_orbit(M, _generators(M), radius, steps=steps)
+    return sorted(parent, key=lambda e: (len(e.letters), e.letters))
 
 
 @dataclass(frozen=True)
@@ -301,54 +319,46 @@ class NotFoundWithin:
     class_size: int = 0
 
 
-def _conj_bfs(M, x, target=None, radius=None, size_cap=None, steps=DEFAULT_STEPS):
-    """BFS the conjugation orbit of x by single generators.
+def _conj_orbit(M, x, target=None, radius=None, cap=None, steps=DEFAULT_STEPS):
+    """Orbit of x under conjugation by single generators.
 
-    Returns (status, parents) where parents maps each conjugate z to g with
-    g x g^-1 = z and status is 'found', 'closed' or 'exhausted'.
+    Returns _orbit's (status, parent); _conjugator reads off the
+    conjugator of any point reached.
     """
-    gens = [Element((s,)) for s in range(M.n)]
-    parents = {x: IDENTITY}
-    if target is not None and x == target:
-        return "found", parents
-    frontier = [x]
-    depth = 0
-    while frontier:
-        if radius is not None and depth >= radius:
-            return "exhausted", parents
-        depth += 1
-        new = []
-        for z in frontier:
-            for s, g in enumerate(gens):
-                z2 = conjugate(M, g, z, steps)
-                if z2 in parents:
-                    continue
-                parents[z2] = multiply(M, g, parents[z], steps)
-                if target is not None and z2 == target:
-                    return "found", parents
-                if size_cap is not None and len(parents) > size_cap:
-                    return "exhausted", parents
-                new.append(z2)
-        frontier = new
-    return "closed", parents
+    stop = None if target is None else (lambda z: z == target)
+    return _orbit(x, _generators(M), lambda z, g: conjugate(M, g, z, steps),
+                  radius, cap, stop)
+
+
+def _conjugator(M, parent, z, steps=DEFAULT_STEPS):
+    """g with g x g^-1 = z, where x is the start of the conjugation orbit."""
+    g = IDENTITY
+    for s in reversed(_path_moves(parent, z)):
+        g = multiply(M, s, g, steps)
+    return g
 
 
 def conjugate_search(M, x, y, radius=8, steps=DEFAULT_STEPS):
     """Look for g with g x g^-1 = y among conjugators of length <= radius."""
     x = reduce(M, x.letters if isinstance(x, Element) else x, steps)
     y = reduce(M, y.letters if isinstance(y, Element) else y, steps)
-    status, parents = _conj_bfs(M, x, target=y, radius=radius, steps=steps)
+    status, parent = _conj_orbit(M, x, target=y, radius=radius, steps=steps)
     if status == "found":
-        g = parents[y]
+        g = _conjugator(M, parent, y, steps)
         assert conjugate(M, g, x, steps) == y
         return Conjugator(g)
-    return NotFoundWithin(radius, closed=(status == "closed"), class_size=len(parents))
+    return NotFoundWithin(radius, closed=(status == "closed"), class_size=len(parent))
 
 
 def conjugacy_class(M, x, cap, steps=DEFAULT_STEPS):
     """Full conjugation orbit with conjugators, or None past the cap."""
-    status, parents = _conj_bfs(M, x, size_cap=cap, steps=steps)
-    return parents if status == "closed" else None
+    status, parent = _conj_orbit(M, x, cap=cap, steps=steps)
+    if status != "closed":
+        return None
+    out = {}
+    for z, (p, s) in parent.items():
+        out[z] = IDENTITY if p is None else multiply(M, s, out[p], steps)
+    return out
 
 
 def element_order(M, x, cap=128, steps=DEFAULT_STEPS):

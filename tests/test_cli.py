@@ -1,6 +1,13 @@
 """End-to-end runs of the command line against temp files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import coxkit
 
 from coxkit.cli import InputError, main, run
 
@@ -9,6 +16,9 @@ RA_TEXT = "3\n1 2 inf\n2 1 inf\ninf inf 1\n"
 A3_TEXT = "3\n1 3 2\n3 1 3\n2 3 1\n"
 I24_TEXT = "2\n1 4\n4 1\n"
 SWAP_TEXT = "1 -> 2\n2 -> 1\n\n1 -> 2\n2 -> 1\n"
+# conjugation by 2 1 on the (4,4,2) triangle group
+INNER21_TEXT = ("1 -> 2 1 2\n2 -> 1 2 1\n3 -> 2 3 2\n\n"
+                "1 -> 2 1 2\n2 -> 1 2 1\n3 -> 1 2 3 2 1\n")
 
 
 @pytest.fixture
@@ -19,9 +29,10 @@ def files(tmp_path):
         p = tmp_path / (name + ".cox")
         p.write_text(text)
         paths[name] = str(p)
-    sp = tmp_path / "swap.spec"
-    sp.write_text(SWAP_TEXT)
-    paths["swap"] = str(sp)
+    for name, text in (("swap", SWAP_TEXT), ("inner21", INNER21_TEXT)):
+        sp = tmp_path / (name + ".spec")
+        sp.write_text(text)
+        paths[name] = str(sp)
     return paths
 
 
@@ -171,6 +182,30 @@ def test_autcheck_swap(files):
     assert d["w"] == "e"
     assert d["perm"] == "2 1"
     assert d["verify"] == "ok"
+
+
+def test_autcheck_inner_spec_small_radius(files, capsys):
+    """A verified spec needs no bounded generation search, so no traceback."""
+    assert main(["--radius", "4", "autcheck", files["b2t"], files["inner21"]]) == 0
+    out = capsys.readouterr().out
+    assert "inner_by_graph: yes\n" in out
+    assert "w: 1 2\n" in out
+
+
+def test_verify_failure_detected_under_python_O(files):
+    """--verify re-checks do not rely on assert, which python -O strips."""
+    src = str(Path(coxkit.__file__).resolve().parent.parent)
+    code = ("import sys, coxkit.cli as c\n"
+            "c.verify_decision = lambda *a: False\n"
+            "sys.exit(c.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code, "conj", files["b2t"],
+                           "1", "2 1 2", "--verify"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "verify: ok" not in proc.stdout
+    assert "verify failed: conjugacy certificate" in proc.stderr
 
 
 def test_autcheck_invalid_spec(files, tmp_path):

@@ -29,6 +29,8 @@ def test_from_matrix_orders():
     assert FiniteGroup.from_matrix(B3).size == 48
     assert FiniteGroup.from_matrix(I27).size == 14
     assert FiniteGroup.from_matrix(I27, cap=5) is None
+    assert FiniteGroup.from_matrix(I27, cap=14).size == 14
+    assert FiniteGroup.from_matrix(I27, cap=13) is None
 
 
 def test_from_matrix_agrees_with_action():

@@ -118,6 +118,8 @@ def test_multiply_invert_conjugate():
 def test_enumerate_group_orders():
     assert len(enumerate_group(A3)) == 24
     assert len(enumerate_group(B2)) == 8
+    assert len(enumerate_group(B2, cap=8)) == 8
+    assert enumerate_group(B2, cap=7) == Infinite(7)
     res = enumerate_group(DINF, cap=50)
     assert isinstance(res, Infinite)
     assert res.cap == 50
@@ -147,6 +149,10 @@ def test_conjugate_search_roundtrip():
         hit = conjugate_search(B3, x, y, radius=10)
         assert isinstance(hit, Conjugator)
         assert conjugate(B3, hit.g, x) == y
+    s1, s3 = Element((0,)), Element((2,))
+    assert conjugate_search(A3, s1, s3, radius=4) == Conjugator(Element((1, 0, 2, 1)))
+    assert conjugate_search(A3, s1, s3, radius=3) == NotFoundWithin(3, closed=False,
+                                                                    class_size=5)
 
 
 def test_conjugate_search_closed_class():
@@ -160,6 +166,8 @@ def test_conjugacy_class_sizes():
     cls = conjugacy_class(A3, Element((0,)), 100)
     assert cls is not None and len(cls) == 6
     assert all(conjugate(A3, g, Element((0,))) == z for z, g in cls.items())
+    assert len(conjugacy_class(A3, Element((0,)), 6)) == 6
+    assert conjugacy_class(A3, Element((0,)), 5) is None
     assert conjugacy_class(DINF, Element((0,)), 10) is None
 
 
