@@ -16,7 +16,7 @@ from .words import (BudgetExceeded, Conjugator, Element, IDENTITY, Infinite,
                     conjugate, conjugate_search, element_order,
                     enumerate_group, format_word, generator, invert, length,
                     multiply, parse_word, reduce, reflections_of, support)
-from .finite import FiniteGroup
+from .finite import FiniteGroup, finite_model
 from .parabolic import (Parabolic, PcBounded, PcExact, PcUnknown,
                         is_essential, member, normalizer_centralizer,
                         parabolic_contains, parabolic_equal,
@@ -30,7 +30,8 @@ from .quotients import (CapExceeded, CosetTable, FiniteQuotientHom,
 from .evenconj import (ClosedClassCertificate, ComponentCertificate,
                        Conjugate, CriterionCertificate, NotConjugate,
                        OrderCertificate, QuotientCertificate, Unknown,
-                       decide_conjugacy_even, retr_criterion, retract,
+                       decide_conjugacy, decide_conjugacy_even,
+                       retr_criterion, retract,
                        retraction_valid, retractions_commute_check,
                        verify_decision)
 from .autcompat import (AutomorphismSpec, CompatNo, CompatReport,

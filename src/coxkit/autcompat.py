@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .budgets import DEFAULT
-from .diagram import (INF, is_crystallographic, is_irreducible, is_spherical,
-                      spherical_order)
-from .finite import FiniteGroup
+from .diagram import INF, is_crystallographic, is_irreducible, is_spherical
+from .finite import finite_model
 from .quotients import SeparationWitness, separate
 from .words import (Element, IDENTITY, _conj_orbit, _conjugator, _generators,
                     _orbit, _path_moves, _right_orbit, conjugate, element_order,
@@ -188,18 +187,6 @@ class CompatReport:
     parabolic: object
 
 
-def _finite_model(M, budget):
-    key = ("fg", budget.enum_cap)
-    if key in M._cache:
-        return M._cache[key]
-    order = spherical_order(M, frozenset(range(M.n)))
-    G = None
-    if order is not None and order <= budget.enum_cap:
-        G = FiniteGroup.from_matrix(M, cap=order + 1)
-    M._cache[key] = G
-    return G
-
-
 def _conj_to_any(M, x, targets, budget):
     """Try to conjugate x onto one of the targets.
 
@@ -208,10 +195,9 @@ def _conj_to_any(M, x, targets, budget):
     """
     targets = [reduce(M, t, budget.steps) for t in targets]
     x = reduce(M, x, budget.steps)
-    G = _finite_model(M, budget)
+    G = finite_model(M, budget.enum_cap)
     if G is not None:
-        _, parent = _orbit(G.index_of(x.letters), range(G.n),
-                           lambda z, s: G.conj_by_gen(s, z))
+        parent = G.class_orbit(G.index_of(x.letters))
         for t in targets:
             ti = G.index_of(t.letters)
             if ti in parent:
@@ -312,7 +298,7 @@ def _conjugator_domain(M, budget):
 
     Returns (elements, exhaustive).
     """
-    G = _finite_model(M, budget)
+    G = finite_model(M, budget.enum_cap)
     if G is not None:
         key = ("conj_domain", "full")
         if key not in M._cache:
@@ -403,7 +389,7 @@ def _parabolic_compat(M, pair, budget):
     n = M.n
     if n > 6:
         return CompatUnknown(budget.radius)
-    G = _finite_model(M, budget)
+    G = finite_model(M, budget.enum_cap)
     if G is not None and G.size <= 64:
         return _parabolic_compat_finite(M, G, pair, budget)
     wits = []
@@ -472,27 +458,30 @@ def _parabolic_compat_finite(M, G, pair, budget):
 
 
 def compat_report(M, pair, budget=DEFAULT, check_generation=True):
-    """Reflection-, angle- and parabolic-compatibility of the two sets."""
+    """Reflection-, angle- and parabolic-compatibility of the two sets;
+    all three Unknown when S2 is not seen to generate W within budget."""
     for name, S in (("S1", pair.S1), ("S2", pair.S2)):
         for x in S:
             x = reduce(M, x, budget.steps)
             if x == IDENTITY or multiply(M, x, x, budget.steps) != IDENTITY:
                 raise ValueError("%s contains a non-involution %s"
                                  % (name, format_word(x)))
-    if check_generation:
-        _check_generation(M, pair.S2, budget)
+    if check_generation and not _check_generation(M, pair.S2, budget):
+        unknown = CompatUnknown(budget.radius)
+        return CompatReport(unknown, unknown, unknown)
     return CompatReport(reflection=_reflection_compat(M, pair, budget),
                         angle=_angle_compat(M, pair, budget),
                         parabolic=_parabolic_compat(M, pair, budget))
 
 
 def _check_generation(M, S2, budget):
-    G = _finite_model(M, budget)
+    """Whether S2 is seen to generate W within budget; a proper subgroup raises."""
+    G = finite_model(M, budget.enum_cap)
     if G is not None:
         sub = G.subgroup([G.index_of(x.letters) for x in S2])
         if len(sub) != G.size:
             raise ValueError("S2 generates a proper subgroup of order %d" % len(sub))
-        return
+        return True
     want = {Element((i,)) for i in range(M.n)}
 
     def all_seen(z):
@@ -502,8 +491,7 @@ def _check_generation(M, S2, budget):
     S2 = [reduce(M, x, budget.steps) for x in S2]
     status, _ = _right_orbit(M, S2, budget.radius, budget.enum_cap, budget.steps,
                              all_seen)
-    if status != "found":
-        raise ValueError("could not verify generation within budget")
+    return status == "found"
 
 
 @dataclass(frozen=True)

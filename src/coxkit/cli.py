@@ -10,17 +10,16 @@ import sys
 
 from . import autcompat
 from .budgets import DEFAULT, SearchBudget
-from .diagram import classify, is_even, parse_matrix, theorem12_applicable
+from .diagram import classify, parse_matrix, theorem12_applicable
 from .evenconj import (ClosedClassCertificate, ComponentCertificate,
                        Conjugate, CriterionCertificate, NotConjugate,
-                       OrderCertificate, QuotientCertificate, Unknown,
-                       decide_conjugacy_even, retract, retraction_valid,
+                       OrderCertificate, QuotientCertificate,
+                       decide_conjugacy, retract, retraction_valid,
                        verify_decision)
 from .parabolic import PcBounded, PcExact, member, pc_element
 from .quotients import SeparationWitness, separate, separation_plan
 from .words import (BudgetExceeded, Element, IDENTITY, braid_class,
-                    conjugate, conjugate_search, Conjugator, format_word,
-                    parse_word, reduce)
+                    conjugate, format_word, parse_word, reduce)
 
 SCHEMA = "coxkit/1"
 
@@ -112,22 +111,6 @@ def _check(cond, what):
         raise AssertionError("verify failed: %s" % what)
 
 
-def _decide_generic(M, x, y, budget):
-    """Sound conjugacy fallback for matrices outside the even case."""
-    if x == y:
-        return Conjugate(IDENTITY)
-    hit = conjugate_search(M, x, y, budget.radius, budget.steps)
-    if isinstance(hit, Conjugator):
-        return Conjugate(hit.g)
-    if hit.closed:
-        return NotConjugate(ClosedClassCertificate(hit.class_size))
-    wit = separate(M, x, y, budget=budget)
-    if isinstance(wit, SeparationWitness):
-        return NotConjugate(QuotientCertificate(wit))
-    return Unknown("no conjugator within radius %d and no separating quotient"
-                   % budget.radius)
-
-
 def _cmd_classify(M, args, budget, out):
     c = classify(M)
     out.append(("components", " | ".join(
@@ -163,10 +146,7 @@ def _cmd_conj(M, args, budget, out):
     y = reduce(M, _load_word(M, args.word_y, "second word"), budget.steps)
     out.append(("x", format_word(x)))
     out.append(("y", format_word(y)))
-    if is_even(M):
-        d = decide_conjugacy_even(M, x, y, budget)
-    else:
-        d = _decide_generic(M, x, y, budget)
+    d = decide_conjugacy(M, x, y, budget)
     if isinstance(d, Conjugate):
         out.append(("verdict", "conjugate"))
         out.append(("conjugator", format_word(d.g)))

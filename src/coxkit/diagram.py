@@ -172,6 +172,13 @@ def is_even(M):
                for i in range(M.n) for j in range(i + 1, M.n))
 
 
+def retraction_valid(M, I):
+    """rho_I is a homomorphism iff every crossing entry is even or infinite."""
+    I = frozenset(I)
+    return all(M.rows[s][t] == INF or M.rows[s][t] % 2 == 0
+               for s in I for t in range(M.n) if t not in I)
+
+
 def is_right_angled(M):
     return all(M.rows[i][j] in (2, INF)
                for i in range(M.n) for j in range(i + 1, M.n))

@@ -13,19 +13,13 @@ inconclusive.
 from dataclasses import dataclass
 
 from .budgets import DEFAULT
-from .diagram import (INF, component_ids, components, is_even, is_spherical,
-                      restrict_letters, spherical_order, submatrix)
-from .quotients import (SeparationNotFound, SeparationWitness, abelianize_even,
-                        separate)
-from .words import (Element, IDENTITY, _conj_orbit, _conjugator, conjugate,
-                    element_order, invert, multiply, reduce, support)
-
-
-def retraction_valid(M, I):
-    """rho_I is a homomorphism iff every crossing entry is even or infinite."""
-    I = frozenset(I)
-    return all(M.rows[s][t] == INF or M.rows[s][t] % 2 == 0
-               for s in I for t in range(M.n) if t not in I)
+from .diagram import (component_ids, components, is_even, is_spherical,
+                      restrict_letters, retraction_valid, spherical_order,
+                      submatrix)
+from .quotients import SeparationWitness, abelianize_even, separate
+from .words import (Conjugator, Element, IDENTITY, _conj_orbit, _conjugator,
+                    conjugate, conjugate_search, element_order, invert,
+                    multiply, reduce, support)
 
 
 def retract(M, I, w, steps=DEFAULT.steps):
@@ -291,6 +285,28 @@ def _criterion_decide(M, I, J, x, y, budget):
                   g1, budget.steps)
     assert conjugate(M, gp, x, budget.steps) == y
     return Conjugate(gp)
+
+
+def decide_conjugacy(M, x, y, budget=DEFAULT):
+    """Decide conjugacy in any Coxeter group: decide_conjugacy_even when M
+    is even, else an uncapped conjugator search within the radius, then
+    quotient separation."""
+    if is_even(M):
+        return decide_conjugacy_even(M, x, y, budget)
+    x = reduce(M, x, budget.steps)
+    y = reduce(M, y, budget.steps)
+    if x == y:
+        return Conjugate(IDENTITY)
+    hit = conjugate_search(M, x, y, budget.radius, budget.steps)
+    if isinstance(hit, Conjugator):
+        return Conjugate(hit.g)
+    if hit.closed:
+        return NotConjugate(ClosedClassCertificate(hit.class_size))
+    wit = separate(M, x, y, budget=budget)
+    if isinstance(wit, SeparationWitness):
+        return NotConjugate(QuotientCertificate(wit))
+    return Unknown("no conjugator within radius %d and no separating quotient"
+                   % budget.radius)
 
 
 def verify_decision(M, x, y, decision, budget=DEFAULT):

@@ -5,8 +5,10 @@ out by a breadth-first sweep that tries generators in index order, so the
 word attached to each element is its ShortLex canonical form.  All the
 group structure a caller needs (multiplication against generators,
 inverses, conjugation, conjugacy classes) is precomputed into flat lists.
+finite_model keeps one such model per matrix.
 """
 
+from .diagram import spherical_order
 from .words import IDENTITY, _generators, _orbit, multiply
 
 
@@ -88,9 +90,12 @@ class FiniteGroup:
                              for z in range(self.size)]
         return self._conj[s][x]
 
+    def class_orbit(self, x):
+        """Conjugacy class of x as an orbit parent map under conj_by_gen."""
+        return _orbit(x, range(self.n), lambda z, s: self.conj_by_gen(s, z))[1]
+
     def conjugacy_class(self, x):
-        _, parent = _orbit(x, range(self.n), lambda z, s: self.conj_by_gen(s, z))
-        return frozenset(parent)
+        return frozenset(self.class_orbit(x))
 
     def conjugacy_classes(self):
         left = set(range(self.size))
@@ -127,3 +132,17 @@ class FiniteGroup:
         for s in range(self.n):
             out |= self.conjugacy_class(self.right[s][0])
         return frozenset(out)
+
+
+def finite_model(M, cap):
+    """The FiniteGroup of W(M), or None when W(M) is infinite or larger than cap.
+
+    The model is built at most once per matrix and kept in M._cache, so
+    calls with different caps share it and it lives as long as M does.
+    """
+    order = spherical_order(M, frozenset(range(M.n)))
+    if order is None or order > cap:
+        return None
+    if "finite_model" not in M._cache:
+        M._cache["finite_model"] = FiniteGroup.from_matrix(M, cap=order)
+    return M._cache["finite_model"]

@@ -15,9 +15,9 @@ from itertools import combinations, permutations
 from .budgets import DEFAULT
 from .diagram import (component_ids, components, embed_letters, is_spherical,
                       restrict_letters, spherical_order, submatrix)
-from .finite import FiniteGroup
-from .words import (Element, IDENTITY, _conj_orbit, _conjugator, _orbit,
-                    _path_moves, conjugate, invert, multiply, reduce, support)
+from .finite import finite_model
+from .words import (Element, IDENTITY, _conj_orbit, _conjugator, _path_moves,
+                    conjugate, invert, multiply, reduce, support)
 
 
 @dataclass(frozen=True)
@@ -146,18 +146,20 @@ def _coxeter_power(M, x, steps):
     return False
 
 
+def _subsets_by_order(M):
+    """Every generator subset K of a finite group, smallest W_K first."""
+    return sorted((frozenset(K) for r in range(M.n + 1)
+                   for K in combinations(range(M.n), r)),
+                  key=lambda K: (spherical_order(M, K), len(K), tuple(sorted(K))))
+
+
 def _pc_finite(M, x, budget):
     """Exact closure inside a finite group, by sweeping subsets by order."""
-    G = FiniteGroup.from_matrix(M, cap=budget.enum_cap)
+    G = finite_model(M, budget.enum_cap)
     if G is None:
         return PcBounded(standard(range(M.n)), 0)
-    _, parent = _orbit(G.index_of(x.letters), range(M.n),
-                       lambda z, s: G.conj_by_gen(s, z))
-    subsets = sorted((frozenset(K)
-                      for r in range(M.n + 1)
-                      for K in combinations(range(M.n), r)),
-                     key=lambda K: (spherical_order(M, K), len(K), tuple(sorted(K))))
-    for K in subsets:
+    parent = G.class_orbit(G.index_of(x.letters))
+    for K in _subsets_by_order(M):
         for z in sorted(parent):
             if set(G.word(z)) <= K:
                 g = G.inverse(G.index_of(_path_moves(parent, z)))
@@ -243,7 +245,7 @@ def normalizer_centralizer(M, J, budget=DEFAULT):
     Both are returned as sorted element lists.  Conjugation by g fixes
     W_J setwise iff it sends the generators of J into W_J.
     """
-    G = FiniteGroup.from_matrix(M, cap=budget.enum_cap)
+    G = finite_model(M, budget.enum_cap)
     if G is None:
         raise ValueError("group exceeds enumeration cap %d" % budget.enum_cap)
     J = sorted(J)
@@ -267,7 +269,7 @@ def parabolic_intersection_finite(M, P, Q, budget=DEFAULT):
     The intersection of parabolics is again a parabolic; we return its
     element set together with an identification g W_K g^-1.
     """
-    G = FiniteGroup.from_matrix(M, cap=budget.enum_cap)
+    G = finite_model(M, budget.enum_cap)
     if G is None:
         raise ValueError("group exceeds enumeration cap %d" % budget.enum_cap)
 
@@ -279,11 +281,7 @@ def parabolic_intersection_finite(M, P, Q, budget=DEFAULT):
     inter = indices(P) & indices(Q)
     want = len(inter)
     probe = max(inter)
-    subsets = sorted((frozenset(K)
-                      for r in range(M.n + 1)
-                      for K in combinations(range(M.n), r)),
-                     key=lambda K: (spherical_order(M, K), len(K), tuple(sorted(K))))
-    for K in subsets:
+    for K in _subsets_by_order(M):
         if spherical_order(M, K) != want:
             continue
         WK = frozenset(i for i in range(G.size) if set(G.word(i)) <= K)

@@ -16,8 +16,8 @@ from itertools import combinations, islice, product
 
 from .budgets import DEFAULT
 from .diagram import (INF, coxeter_matrix, is_even, is_spherical,
-                      restrict_letters, spherical_order, submatrix)
-from .finite import FiniteGroup
+                      retraction_valid, spherical_order, submatrix)
+from .finite import finite_model
 from .words import Element, _orbit
 
 SENTINEL = -1
@@ -165,13 +165,20 @@ def todd_coxeter(M, subgroup_gens, coset_cap=DEFAULT.cosets):
     return table
 
 
+def _check(cond, what):
+    """An internal consistency check that, unlike assert, also runs under python -O."""
+    if not cond:
+        raise AssertionError(what)
+
+
 def _verify_table(M, table, subwords):
     """Trace every relator at every coset; any failure is a bug."""
     n = M.n
     perms = table.perms
     for s in range(n):
         for c in range(table.size):
-            assert perms[s][perms[s][c]] == c
+            _check(perms[s][perms[s][c]] == c,
+                   "generator %d is not an involution" % (s + 1))
     for s in range(n):
         for t in range(s + 1, n):
             m = M.rows[s][t]
@@ -181,12 +188,12 @@ def _verify_table(M, table, subwords):
                 cur = c
                 for a in _alt_word(s, t, int(m)):
                     cur = perms[a][cur]
-                assert cur == c
+                _check(cur == c, "relator (%d,%d) fails at coset %d" % (s + 1, t + 1, c))
     for w in subwords:
         cur = 0
         for a in w:
             cur = perms[a][cur]
-        assert cur == 0
+        _check(cur == 0, "subgroup generator %r moves the base coset" % (w,))
 
 
 class _BitImage:
@@ -352,7 +359,22 @@ def abelianize_even(M):
 _IMAGE_ORDER_MAX = 10 ** 5
 
 
-def specialize(M, M2, enum_cap=_IMAGE_ORDER_MAX):
+def _braces(I):
+    return "{" + ",".join(str(s + 1) for s in sorted(I)) + "}"
+
+
+def _coxeter_hom(M, kind, label, I, T):
+    """Send the generators in sorted(I) to those of the finite W(T), kill the rest."""
+    G = finite_model(T, _IMAGE_ORDER_MAX)
+    if G is None:
+        raise ValueError("image order %d exceeds cap %d"
+                         % (spherical_order(T, frozenset(range(T.n))), _IMAGE_ORDER_MAX))
+    pos = {s: k for k, s in enumerate(sorted(I))}
+    gen_images = [G.index_of((pos[s],)) if s in pos else 0 for s in range(M.n)]
+    return FiniteQuotientHom(M, kind, label, gen_images, _CoxImage(G))
+
+
+def specialize(M, M2):
     """Quotient obtained by lowering entries within divisibility.
 
     M2 must have the same rank, spherical type, and each off-diagonal
@@ -372,20 +394,14 @@ def specialize(M, M2, enum_cap=_IMAGE_ORDER_MAX):
     order = spherical_order(M2, frozenset(range(M2.n)))
     if order is None:
         raise ValueError("specialization target is not spherical")
-    if order > enum_cap:
-        raise ValueError("image order %d exceeds cap %d" % (order, enum_cap))
-    G = FiniteGroup.from_matrix(M2, cap=order + 1)
     entries = ",".join(str(M2.rows[i][j]) for i in range(M2.n)
                        for j in range(i + 1, M2.n))
-    hom = FiniteQuotientHom(M, "specialization",
-                            "specialization onto (%s) order %d" % (entries, order),
-                            [G.index_of((s,)) for s in range(M.n)],
-                            _CoxImage(G))
-    hom.target = M2
-    return hom
+    return _coxeter_hom(M, "specialization",
+                        "specialization onto (%s) order %d" % (entries, order),
+                        range(M.n), M2)
 
 
-def retraction_hom(M, I, enum_cap=_IMAGE_ORDER_MAX):
+def retraction_hom(M, I):
     """Kill the generators outside I, landing in a finite W_I.
 
     Well defined when every entry crossing the boundary of I is even or
@@ -393,19 +409,9 @@ def retraction_hom(M, I, enum_cap=_IMAGE_ORDER_MAX):
     """
     I = sorted(set(I))
     sub = submatrix(M, I)
-    order = spherical_order(sub, frozenset(range(len(I))))
-    if order is None:
+    if spherical_order(sub, frozenset(range(len(I)))) is None:
         raise ValueError("retraction target W_I is not finite")
-    if order > enum_cap:
-        raise ValueError("image order %d exceeds cap %d" % (order, enum_cap))
-    G = FiniteGroup.from_matrix(sub, cap=order + 1)
-    pos = {s: k for k, s in enumerate(I)}
-    gen_images = [G.index_of((pos[s],)) if s in pos else 0 for s in range(M.n)]
-    hom = FiniteQuotientHom(M, "retraction",
-                            "retraction onto I=%s" % ("{" + ",".join(str(s + 1) for s in I) + "}"),
-                            gen_images, _CoxImage(G))
-    hom.I = frozenset(I)
-    return hom
+    return _coxeter_hom(M, "retraction", "retraction onto I=%s" % _braces(I), I, sub)
 
 
 def perm_hom(M, subgroup_gens, label, coset_cap=1024,
@@ -420,7 +426,7 @@ def perm_hom(M, subgroup_gens, label, coset_cap=1024,
                              list(img.gens), img)
 
 
-def composite_hom(M, I, lowered, enum_cap=_IMAGE_ORDER_MAX):
+def composite_hom(M, I, lowered):
     """Retraction onto I after lowering the entries inside I.
 
     lowered is the spherical matrix replacing submatrix(M, I); the
@@ -430,17 +436,9 @@ def composite_hom(M, I, lowered, enum_cap=_IMAGE_ORDER_MAX):
     order = spherical_order(lowered, frozenset(range(len(I))))
     if order is None:
         raise ValueError("lowered target is not spherical")
-    if order > enum_cap:
-        raise ValueError("image order %d exceeds cap %d" % (order, enum_cap))
-    G = FiniteGroup.from_matrix(lowered, cap=order + 1)
-    pos = {s: k for k, s in enumerate(I)}
-    gen_images = [G.index_of((pos[s],)) if s in pos else 0 for s in range(M.n)]
-    hom = FiniteQuotientHom(M, "retraction.specialization",
-                            "lowered retraction onto I=%s order %d"
-                            % ("{" + ",".join(str(s + 1) for s in I) + "}", order),
-                            gen_images, _CoxImage(G))
-    hom.I = frozenset(I)
-    return hom
+    return _coxeter_hom(M, "retraction.specialization",
+                        "lowered retraction onto I=%s order %d" % (_braces(I), order),
+                        I, lowered)
 
 
 def _divisors(m):
@@ -451,18 +449,12 @@ _INF_CHOICES = (2, 3, 4, 5, 6)
 _COMBO_SCAN = 20000
 
 
-def _lowerings(M, keep_infinite=False):
+def _lowerings(M):
     """Candidate matrices obtained by lowering entries, lazily."""
     n = M.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    choices = []
-    for i, j in pairs:
-        m = M.rows[i][j]
-        if m == INF:
-            opts = list(_INF_CHOICES) + ([INF] if keep_infinite else [])
-        else:
-            opts = _divisors(int(m))
-        choices.append(opts)
+    choices = [_INF_CHOICES if M.rows[i][j] == INF else _divisors(int(M.rows[i][j]))
+               for i, j in pairs]
     for combo in islice(product(*choices), _COMBO_SCAN):
         rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
         for (i, j), m in zip(pairs, combo):
@@ -470,21 +462,21 @@ def _lowerings(M, keep_infinite=False):
         yield coxeter_matrix(rows)
 
 
-def _plan_specializations(M, limit=24):
-    out = []
+def _smallest_lowerings(M, limit):
+    """The limit lowerings of M with the smallest finite images, by (order, rows)."""
     full = frozenset(range(M.n))
-    for M2 in _lowerings(M):
-        order = spherical_order(M2, full)
-        if order is None or order > _IMAGE_ORDER_MAX:
-            continue
-        out.append((order, M2.rows, M2))
-    out.sort(key=lambda t: (t[0], t[1]))
+    cands = []
+    for low in _lowerings(M):
+        order = spherical_order(low, full)
+        if order is not None and order <= _IMAGE_ORDER_MAX:
+            cands.append((order, low.rows, low))
+    cands.sort(key=lambda t: (t[0], t[1]))
+    return [low for _, _, low in cands[:limit]]
+
+
+def _plan_specializations(M, limit=24):
     homs = []
-    seen = set()
-    for order, rows, M2 in out[:limit]:
-        if rows in seen:
-            continue
-        seen.add(rows)
+    for M2 in _smallest_lowerings(M, limit):
         try:
             homs.append(specialize(M, M2))
         except ValueError:
@@ -498,10 +490,7 @@ def _plan_retractions(M):
     subsets = [frozenset(K) for r in range(1, n) for K in combinations(range(n), r)]
     subsets.sort(key=lambda K: (-(spherical_order(M, K) or 0), tuple(sorted(K))))
     for I in subsets:
-        if not is_spherical(M, I):
-            continue
-        if any(M.rows[s][t] != INF and M.rows[s][t] % 2 == 1
-               for s in I for t in range(n) if t not in I):
+        if not is_spherical(M, I) or not retraction_valid(M, I):
             continue
         try:
             homs.append(retraction_hom(M, I))
@@ -518,8 +507,7 @@ def _plan_perms(M, budget):
                for K in combinations(range(n), r)]
     for J in subsets:
         gens = [Element((s,)) for s in sorted(J)]
-        hom = perm_hom(M, gens, "cosets of W_%s" %
-                       ("{" + ",".join(str(s + 1) for s in sorted(J)) + "}"),
+        hom = perm_hom(M, gens, "cosets of W_%s" % _braces(J),
                        coset_cap=cap, class_cap=budget.class_cap)
         if hom is not None:
             homs.append(hom)
@@ -531,21 +519,12 @@ def _plan_composites(M, limit=16):
     n = M.n
     for r in range(2, n):
         for I in combinations(range(n), r):
-            Iset = set(I)
-            crossing = [(s, t) for s in I for t in range(n) if t not in Iset]
-            if any(M.rows[s][t] != INF and M.rows[s][t] % 2 == 1
-                   for s, t in crossing):
+            if not retraction_valid(M, I):
                 continue
             sub = submatrix(M, I)
             if is_spherical(sub, frozenset(range(r))):
                 continue
-            cands = []
-            for low in _lowerings(sub):
-                order = spherical_order(low, frozenset(range(r)))
-                if order is not None and order <= _IMAGE_ORDER_MAX:
-                    cands.append((order, low.rows, low))
-            cands.sort(key=lambda t: (t[0], t[1]))
-            for order, rows, low in cands[:4]:
+            for low in _smallest_lowerings(sub, 4):
                 try:
                     homs.append(composite_hom(M, I, low))
                 except ValueError:
@@ -598,7 +577,9 @@ def separate(M, x, y, plan=None, budget=DEFAULT, transcript=None):
             word = {True: "agree", False: "separates", None: "inconclusive"}[verdict]
             transcript.append((hom.label, word))
         if verdict is False:
-            assert hom.image_of(x) == xi and hom.image_of(y) == yi
-            assert hom.image.are_conjugate(xi, yi) is False
+            _check(hom.image_of(x) == xi and hom.image_of(y) == yi,
+                   "witness images recompute under %s" % hom.label)
+            _check(hom.image.are_conjugate(xi, yi) is False,
+                   "witness images stay non-conjugate under %s" % hom.label)
             return SeparationWitness(hom, xi, yi)
     return SeparationNotFound(len(plan))

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from coxkit.autcompat import (AutomorphismSpec, CompatNo, CompatUnknown,
-                              CompatYes, GeneratingSetPair, Inner,
-                              InnerByGraph, Invalid, NotInnerByGraph,
+from coxkit.autcompat import (AutomorphismSpec, CompatNo, CompatReport,
+                              CompatUnknown, CompatYes, GeneratingSetPair,
+                              Inner, InnerByGraph, Invalid, NotInnerByGraph,
                               NotPointwiseSmall, Undecided, Verified,
                               apply_aut, apply_inv, compat_report,
                               cryst_shortcut, format_spec, identity_spec,
                               inner_by_graph, inner_spec, pair_from_spec,
                               parse_spec, smallwords_inner, standard_pair,
                               verify_automorphism)
+from coxkit.budgets import SearchBudget
 from coxkit.diagram import INF, coxeter_matrix
 from coxkit.words import Element, IDENTITY, conjugate, enumerate_group, reduce
 
@@ -113,6 +114,18 @@ def test_compat_report_pins():
     assert isinstance(rep2.reflection, CompatYes)
     assert isinstance(rep2.angle, CompatUnknown)
     assert isinstance(rep2.parabolic, CompatUnknown)
+
+
+def test_compat_report_generation_out_of_budget():
+    """An unconfirmed generation search is Unknown; a certified proper subgroup raises."""
+    C2 = coxeter_matrix([[1, 4, 2], [4, 1, 4], [2, 4, 1]])
+    pair = pair_from_spec(C2, inner_spec(C2, Element((1, 0))))
+    unknown = CompatUnknown(4)
+    assert compat_report(C2, pair, SearchBudget(radius=4)) == \
+        CompatReport(unknown, unknown, unknown)
+    s = Element((0,))
+    with pytest.raises(ValueError, match="proper subgroup of order 2"):
+        compat_report(I24, GeneratingSetPair(S1=(s, Element((1,))), S2=(s, s)))
 
 
 def test_rank_mismatch_not_reflection_compatible():

@@ -1,17 +1,23 @@
-"""Byte-level regression test of the coxkit/1 reports.
+"""Byte-level regression tests of the coxkit/1 reports and the demo tours.
 
 Runs the invocations of demos/cli_tour.sh, plus --verify runs of conj, pc
 and separate on I2(4) and B3, through cli.main and compares the combined
 stdout and exit codes with the stored transcript tests/cli_golden.txt.
 Matrix and spec files are named by placeholders, so the transcript does
-not depend on where the temporary files live.
+not depend on where the temporary files live.  The three Python tours in
+demos/ run in-process and their stdout is compared with
+tests/demos_golden.txt.
 """
 
+import runpy
 from pathlib import Path
 
 from coxkit.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.txt")
+DEMO_GOLDEN = Path(__file__).with_name("demos_golden.txt")
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+TOURS = ["tour_words.py", "tour_conjugacy.py", "tour_automorphisms.py"]
 
 FILES = {
     "b2t.mat": "3\n1 4 2\n4 1 4\n2 4 1\n",
@@ -66,3 +72,16 @@ def transcript(tmp_path, capsys):
 
 def test_cli_reports_match_golden_transcript(tmp_path, capsys):
     assert transcript(tmp_path, capsys) == GOLDEN.read_text()
+
+
+def demo_transcript(capsys):
+    """Run each Python tour in-process and render its stdout under a header."""
+    parts = []
+    for name in TOURS:
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+        parts.append("$ python demos/%s\n%s" % (name, capsys.readouterr().out))
+    return "\n".join(parts)
+
+
+def test_demo_tours_match_golden_transcript(capsys):
+    assert demo_transcript(capsys) == DEMO_GOLDEN.read_text()

@@ -8,7 +8,8 @@ from coxkit.diagram import INF, coxeter_matrix
 from coxkit.evenconj import (ClosedClassCertificate, Conjugate,
                              CriterionCertificate, NotConjugate,
                              OrderCertificate, QuotientCertificate, Unknown,
-                             decide_conjugacy_even, retr_criterion, retract,
+                             decide_conjugacy, decide_conjugacy_even,
+                             retr_criterion, retract,
                              retraction_valid, retractions_commute_check,
                              verify_decision)
 from coxkit.words import Element, IDENTITY, conjugate, enumerate_group, reduce
@@ -104,6 +105,19 @@ def test_retr_criterion_rejects_stray_support():
 def test_decide_even_requires_even():
     with pytest.raises(ValueError):
         decide_conjugacy_even(A3, Element((0,)), Element((1,)))
+
+
+def test_decide_conjugacy_dispatch():
+    """Even matrices take the even procedure; others search, then separate."""
+    x, y = Element((0,)), Element((1, 0, 1))
+    assert decide_conjugacy(B2T, x, y) == decide_conjugacy_even(B2T, x, y)
+    d = decide_conjugacy(A3, (0,), (2,))
+    assert isinstance(d, Conjugate)
+    assert conjugate(A3, d.g, Element((0,))) == Element((2,))
+    d = decide_conjugacy(A3, (0,), (0, 1))
+    assert d == NotConjugate(ClosedClassCertificate(6))
+    assert verify_decision(A3, (0,), (0, 1), d)
+    assert decide_conjugacy(A3, (0, 0, 1), (1,)) == Conjugate(IDENTITY)
 
 
 def test_decide_even_finite_exhaustive():

@@ -3,7 +3,7 @@
 import random
 
 from coxkit.diagram import coxeter_matrix
-from coxkit.finite import FiniteGroup
+from coxkit.finite import FiniteGroup, finite_model
 from coxkit.words import Element, reduce
 
 import oracles
@@ -31,6 +31,9 @@ def test_from_matrix_orders():
     assert FiniteGroup.from_matrix(I27, cap=5) is None
     assert FiniteGroup.from_matrix(I27, cap=14).size == 14
     assert FiniteGroup.from_matrix(I27, cap=13) is None
+    assert finite_model(B3, 47) is None
+    assert finite_model(B3, 48).size == 48
+    assert finite_model(B3, 48) is finite_model(B3, 10 ** 5)
 
 
 def test_from_matrix_agrees_with_action():

@@ -69,6 +69,11 @@ def test_pc_element_finite_exact():
     res = pc_element(A3, Element((0, 2)))
     assert isinstance(res, PcExact)
     assert parabolic_equal(A3, res.parabolic, standard(frozenset([0, 2])))
+    x = reduce(B3, (1, 0, 1, 2, 1))
+    assert pc_element(B3, x, SearchBudget(enum_cap=47)) == \
+        PcBounded(standard({0, 1, 2}), 0)
+    assert pc_element(B3, x, SearchBudget(enum_cap=48)) == \
+        PcExact(Parabolic(Element((1,)), frozenset({0, 1, 2})))
 
 
 def test_pc_element_conjugated():
@@ -126,6 +131,10 @@ def test_normalizer_centralizer():
     assert set(norm) == set(cent)
     with pytest.raises(ValueError):
         normalizer_centralizer(RA, frozenset([0]), SearchBudget(enum_cap=64))
+    with pytest.raises(ValueError, match="group exceeds enumeration cap 47"):
+        normalizer_centralizer(B3, [0], SearchBudget(enum_cap=47))
+    norm, cent = normalizer_centralizer(B3, [0], SearchBudget(enum_cap=48))
+    assert len(norm) == len(cent) == 8
 
 
 def test_normalizer_of_pair():

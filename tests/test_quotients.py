@@ -1,11 +1,17 @@
 """Coset enumeration and the finite-quotient separation machinery."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coxkit
 from coxkit.budgets import SearchBudget
 from coxkit.diagram import INF, coxeter_matrix
+from coxkit.finite import finite_model
 from coxkit.quotients import (CapExceeded, SeparationNotFound,
                               SeparationWitness, abelianize_even,
                               composite_hom, perm_hom, retraction_hom,
@@ -65,6 +71,7 @@ def test_specialize():
 
 
 def test_retraction_hom():
+    assert finite_model(RA, 10 ** 6) is None
     hom = retraction_hom(RA, frozenset([0, 1]))
     assert hom.image_of(Element((2,))) == hom.image.identity
     assert hom.image_of(Element((0, 2, 1))) == hom.image_of(Element((0, 1)))
@@ -144,3 +151,18 @@ def test_witness_images_recheck():
     assert hom.image_of(Element((0,))) == res.x_img
     assert hom.image_of(Element((2,))) == res.y_img
     assert hom.image.are_conjugate(res.x_img, res.y_img) is False
+
+
+def test_verify_table_checks_under_python_O():
+    """_verify_table does not rely on assert, which python -O strips."""
+    src = str(Path(coxkit.__file__).resolve().parent.parent)
+    code = ("from coxkit.diagram import coxeter_matrix\n"
+            "from coxkit.quotients import CosetTable, _verify_table\n"
+            "A3 = coxeter_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])\n"
+            "_verify_table(A3, CosetTable(2, ((1, 0), (0, 1), (0, 1))), [])\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode != 0
+    assert "AssertionError: relator (1,2) fails at coset 0" in proc.stderr
