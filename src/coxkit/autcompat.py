@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from .budgets import DEFAULT
 from .diagram import INF, is_crystallographic, is_irreducible, is_spherical
 from .finite import finite_model
-from .quotients import SeparationWitness, separate
+from .quotients import SeparationWitness, _check, separate
 from .words import (Element, IDENTITY, _conj_orbit, _conjugator, _generators,
                     _orbit, _path_moves, _right_orbit, conjugate, element_order,
                     invert, multiply, parse_word, format_word, reduce, support)
@@ -187,6 +187,31 @@ class CompatReport:
     parabolic: object
 
 
+def _sides(pair):
+    """Both directions of the pair as (side, src, src_member, dst, dst_member)."""
+    yield 1, pair.S1, pair.membership1, pair.S2, pair.membership2
+    yield 2, pair.S2, pair.membership2, pair.S1, pair.membership1
+
+
+def _tally(checks, radius):
+    """Fold (key, outcome) checks into a verdict.
+
+    An outcome is False when certified to fail, None when undecided, and
+    otherwise a witness.  The first False is a No for its key; otherwise
+    any None makes the verdict Unknown, and else it is Yes.
+    """
+    wits = []
+    undecided = False
+    for key, outcome in checks:
+        if outcome is False:
+            return CompatNo(key)
+        if outcome is None:
+            undecided = True
+        else:
+            wits.append(outcome)
+    return CompatUnknown(radius) if undecided else CompatYes(tuple(wits))
+
+
 def _conj_to_any(M, x, targets, budget):
     """Try to conjugate x onto one of the targets.
 
@@ -202,7 +227,7 @@ def _conj_to_any(M, x, targets, budget):
             ti = G.index_of(t.letters)
             if ti in parent:
                 g = reduce(M, tuple(_path_moves(parent, ti)), budget.steps)
-                assert conjugate(M, g, x, budget.steps) == t
+                _check(conjugate(M, g, x, budget.steps) == t, "class orbit conjugator")
                 return t, g
         return False
     status, parent = _conj_orbit(M, x, radius=budget.radius, cap=budget.class_cap,
@@ -210,7 +235,7 @@ def _conj_to_any(M, x, targets, budget):
     for t in targets:
         if t in parent:
             g = _conjugator(M, parent, t, budget.steps)
-            assert conjugate(M, g, x, budget.steps) == t
+            _check(conjugate(M, g, x, budget.steps) == t, "conjugation orbit conjugator")
             return t, g
     if status == "closed":
         return False
@@ -221,17 +246,10 @@ def _conj_to_any(M, x, targets, budget):
 
 
 def _reflection_compat(M, pair, budget):
-    wits = []
-    for side, (src, dst) in ((1, (pair.S1, pair.S2)), (2, (pair.S2, pair.S1))):
+    for side, src, _, dst, _ in _sides(pair):
         for x in src:
             hit = _conj_to_any(M, x, dst, budget)
-            if hit is None:
-                return CompatUnknown(budget.radius)
-            if hit is False:
-                return CompatNo((side, x))
-            v, g = hit
-            wits.append((side, x, v, g))
-    return CompatYes(tuple(wits))
+            yield (side, x), hit and (side, x) + hit
 
 
 def _pair_order(M, s, t, budget):
@@ -262,30 +280,21 @@ def _pair_conj_search(M, s, t, dstset, budget):
 
 
 def _angle_compat(M, pair, budget):
-    wits = []
-    undecided = False
-    for side, (src, dst) in ((1, (pair.S1, pair.S2)), (2, (pair.S2, pair.S1))):
+    for side, src, _, dst, _ in _sides(pair):
         dstset = frozenset(reduce(M, v, budget.steps) for v in dst)
-        for i in range(len(src)):
-            for j in range(i + 1, len(src)):
-                s, t = src[i], src[j]
-                o = _pair_order(M, s, t, budget)
-                if o is None:
-                    if len(s.letters) > 1 or len(t.letters) > 1:
-                        undecided = True
-                    continue
-                w, status = _pair_conj_search(M, s, t, dstset, budget)
-                if status == "found":
-                    u, v = conjugate(M, w, s, budget.steps), conjugate(M, w, t, budget.steps)
-                    assert u in dstset and v in dstset
-                    wits.append((side, (s, t), (u, v), w))
-                elif status == "closed":
-                    return CompatNo((side, (s, t)))
-                else:
-                    undecided = True
-    if undecided:
-        return CompatUnknown(budget.radius)
-    return CompatYes(tuple(wits))
+        for s, t in combinations(src, 2):
+            key = (side, (s, t))
+            if _pair_order(M, s, t, budget) is None:
+                if len(s.letters) > 1 or len(t.letters) > 1:
+                    yield key, None
+                continue
+            w, status = _pair_conj_search(M, s, t, dstset, budget)
+            if status == "found":
+                u, v = conjugate(M, w, s, budget.steps), conjugate(M, w, t, budget.steps)
+                _check(u in dstset and v in dstset, "pair conjugator")
+                yield key, (side, (s, t), (u, v), w)
+            else:
+                yield key, None if status == "exhausted" else False
 
 
 def _ball_capped(M, radius, cap, steps):
@@ -294,21 +303,27 @@ def _ball_capped(M, radius, cap, steps):
 
 
 def _conjugator_domain(M, budget):
-    """Candidate conjugators: the whole group when finite, else a ball.
-
-    Returns (elements, exhaustive).
-    """
+    """Candidate conjugators: the whole group when finite, else a ball."""
     G = finite_model(M, budget.enum_cap)
     if G is not None:
         key = ("conj_domain", "full")
         if key not in M._cache:
             M._cache[key] = [Element(G.word(i)) for i in range(G.size)]
-        return M._cache[key], True
+        return M._cache[key]
     key = ("conj_domain", budget.radius, budget.enum_cap)
     if key not in M._cache:
         M._cache[key] = _ball_capped(M, budget.radius, budget.enum_cap,
                                      budget.steps)
-    return M._cache[key], False
+    return M._cache[key]
+
+
+def _first_conjugator(M, budget, fit):
+    """(g, fit(g)) for the first g in the conjugator domain with fit(g) true, or None."""
+    for g in _conjugator_domain(M, budget):
+        hit = fit(g)
+        if hit:
+            return g, hit
+    return None
 
 
 def _standardize(M, gens, budget):
@@ -333,7 +348,7 @@ def _standardize(M, gens, budget):
 
 def _subgroups_conjugate(M, src_gens, src_member, src_pos,
                          dst_gens, dst_member, dst_pos, budget):
-    """Conjugacy of two finitely generated reflection subgroups.
+    """Conjugacy of two finitely generated reflection subgroups of an infinite W.
 
     Returns (True, g), (False, reason) or None.  Witnesses are exact when
     both membership oracles exist; certified No needs both subgroups to be
@@ -362,17 +377,44 @@ def _subgroups_conjugate(M, src_gens, src_member, src_pos,
             return False, ("standard forms %s and %s differ"
                            % (sorted(a + 1 for a in L1), sorted(a + 1 for a in L2)))
     if src_member is not None and dst_member is not None:
-        domain, exhaustive = _conjugator_domain(M, budget)
-        for g in domain:
+        def fit(g):
             gi = invert(M, g, budget.steps)
-            if all(dst_member(conjugate(M, g, s, budget.steps), dst_pos)
-                   for s in src_gens) and \
-               all(src_member(conjugate(M, gi, v, budget.steps), src_pos)
-                   for v in dst_gens):
-                return True, g
-        if exhaustive:
-            return False, "no conjugator in the full group"
+            return (all(dst_member(conjugate(M, g, s, budget.steps), dst_pos)
+                        for s in src_gens)
+                    and all(src_member(conjugate(M, gi, v, budget.steps), src_pos)
+                            for v in dst_gens))
+
+        hit = _first_conjugator(M, budget, fit)
+        if hit is not None:
+            return True, hit[0]
     return None
+
+
+def _finite_subgroups_conjugate(G):
+    """Exact subgroup conjugacy in the finite model G: (True, g) or (False, reason).
+
+    g A g^-1 = B exactly when |A| = |B| and g moves every generator of A
+    into B, so only the generators are conjugated.  Closures are kept per
+    generating tuple for the life of the returned oracle.
+    """
+    closures = {}
+
+    def closure(gens):
+        seeds = tuple(G.index_of(g.letters) for g in gens)
+        if seeds not in closures:
+            closures[seeds] = G.subgroup(seeds)
+        return seeds, closures[seeds]
+
+    def oracle(src_gens, dst_gens):
+        seeds, A = closure(src_gens)
+        B = closure(dst_gens)[1]
+        if len(A) == len(B):
+            for g in range(G.size):
+                if all(G.conj(g, a) in B for a in seeds):
+                    return True, Element(G.word(g))
+        return False, "no conjugator in the full group"
+
+    return oracle
 
 
 def _candidate_subsets(n, r):
@@ -386,75 +428,31 @@ def _candidate_subsets(n, r):
 
 
 def _parabolic_compat(M, pair, budget):
-    n = M.n
-    if n > 6:
-        return CompatUnknown(budget.radius)
+    """Each subset of either set spans a subgroup conjugate to one the other spans."""
+    if M.n > 6:
+        yield M.n, None  # too many subsets to sweep: one undecided check
+        return
     G = finite_model(M, budget.enum_cap)
-    if G is not None and G.size <= 64:
-        return _parabolic_compat_finite(M, G, pair, budget)
-    wits = []
-    undecided = False
-    sides = ((1, pair.S1, pair.membership1, pair.S2, pair.membership2),
-             (2, pair.S2, pair.membership2, pair.S1, pair.membership1))
-    for side, src, src_member, dst, dst_member in sides:
-        subsets = [tuple(c) for r in range(1, len(src) + 1)
-                   for c in combinations(range(len(src)), r)]
-        for positions in subsets:
-            src_pos = frozenset(positions)
-            src_gens = [src[i] for i in positions]
-            found = None
-            all_no = True
-            for cand in _candidate_subsets(len(dst), len(positions)):
-                dst_pos = frozenset(cand)
-                dst_gens = [dst[i] for i in cand]
-                res = _subgroups_conjugate(M, src_gens, src_member, src_pos,
-                                           dst_gens, dst_member, dst_pos, budget)
-                if res is None:
-                    all_no = False
-                elif res[0] is True:
-                    found = (side, positions, tuple(cand), res[1])
-                    break
-
-            if found is not None:
-                wits.append(found)
-            elif all_no:
-                return CompatNo((side, positions))
-            else:
-                undecided = True
-    if undecided:
-        return CompatUnknown(budget.radius)
-    return CompatYes(tuple(wits))
-
-
-def _parabolic_compat_finite(M, G, pair, budget):
-    """Exact subset sweep through the finite model."""
-    def closure(gens):
-        return G.subgroup([G.index_of(g.letters) for g in gens])
-
-    def conj_set(g, A):
-        return frozenset(G.conj(g, a) for a in A)
-
-    wits = []
-    for side, (src, dst) in ((1, (pair.S1, pair.S2)), (2, (pair.S2, pair.S1))):
-        for positions in [tuple(c) for r in range(1, len(src) + 1)
+    in_model = _finite_subgroups_conjugate(G) if G is not None else None
+    for side, src, src_member, dst, dst_member in _sides(pair):
+        for positions in [c for r in range(1, len(src) + 1)
                           for c in combinations(range(len(src)), r)]:
-            A = closure([src[i] for i in positions])
-            found = None
+            src_gens = [src[i] for i in positions]
+            outcome = False
             for cand in _candidate_subsets(len(dst), len(positions)):
-                B = closure([dst[i] for i in cand])
-                if len(A) != len(B):
-                    continue
-                for g in range(G.size):
-                    if conj_set(g, A) == B:
-                        found = (side, positions, tuple(cand),
-                                 Element(G.word(g)))
-                        break
-                if found:
+                dst_gens = [dst[i] for i in cand]
+                if in_model is not None:
+                    res = in_model(src_gens, dst_gens)
+                else:
+                    res = _subgroups_conjugate(M, src_gens, src_member,
+                                               frozenset(positions), dst_gens,
+                                               dst_member, frozenset(cand), budget)
+                if res is None:
+                    outcome = None
+                elif res[0]:
+                    outcome = (side, positions, cand, res[1])
                     break
-            if found is None:
-                return CompatNo((side, positions))
-            wits.append(found)
-    return CompatYes(tuple(wits))
+            yield (side, positions), outcome
 
 
 def compat_report(M, pair, budget=DEFAULT, check_generation=True):
@@ -469,9 +467,9 @@ def compat_report(M, pair, budget=DEFAULT, check_generation=True):
     if check_generation and not _check_generation(M, pair.S2, budget):
         unknown = CompatUnknown(budget.radius)
         return CompatReport(unknown, unknown, unknown)
-    return CompatReport(reflection=_reflection_compat(M, pair, budget),
-                        angle=_angle_compat(M, pair, budget),
-                        parabolic=_parabolic_compat(M, pair, budget))
+    return CompatReport(*(_tally(checks(M, pair, budget), budget.radius)
+                          for checks in (_reflection_compat, _angle_compat,
+                                         _parabolic_compat)))
 
 
 def _check_generation(M, S2, budget):
@@ -533,50 +531,54 @@ def _require_verified(M, spec):
 def _rotation_condition(M, spec, budget):
     """Condition (2): each finite-order st maps to a conjugate of some s't'."""
     n = M.n
-    wits = []
-    undecided = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = M.rows[i][j]
-            if m == INF:
-                continue
-            z = apply_aut(M, spec, (i, j), budget.steps)
-            targets = [reduce(M, (a, b), budget.steps)
-                       for a in range(n) for b in range(n)
-                       if a != b and M.rows[a][b] == m]
-            hit = _conj_to_any(M, z, targets, budget)
-            if hit is None:
-                undecided = True
-            elif hit is False:
-                return CompatNo(((i, j), m))
-            else:
-                wits.append(((i, j), hit[0], hit[1]))
-    if undecided:
-        return CompatUnknown(budget.radius)
-    return CompatYes(tuple(wits))
+    for i, j in combinations(range(n), 2):
+        m = M.rows[i][j]
+        if m == INF:
+            continue
+        z = apply_aut(M, spec, (i, j), budget.steps)
+        targets = [reduce(M, (a, b), budget.steps)
+                   for a in range(n) for b in range(n)
+                   if a != b and M.rows[a][b] == m]
+        hit = _conj_to_any(M, z, targets, budget)
+        yield ((i, j), m), hit and ((i, j),) + hit
 
 
 def _locate_set_conjugator(M, spec, budget):
     """Find w with w alpha(s_i) w^-1 in S for all i, plus the residue."""
     imgs = [apply_aut(M, spec, (i,), budget.steps) for i in range(M.n)]
-    gens = frozenset(Element((i,)) for i in range(M.n))
-    domain, _ = _conjugator_domain(M, budget)
-    for w in domain:
+
+    def perm(w):
+        """Where w sends each image, if every one lands on a distinct generator."""
         out = []
-        ok = True
         for x in imgs:
             u = conjugate(M, w, x, budget.steps)
-            if u not in gens:
-                ok = False
-                break
+            if len(u.letters) != 1:
+                return None
             out.append(u.letters[0])
-        if ok and len(set(out)) == M.n:
-            perm = tuple(out)
-            for i in range(M.n):
-                for j in range(M.n):
-                    assert M.rows[perm[i]][perm[j]] == M.rows[i][j]
-            return w, perm
-    return None
+        return tuple(out) if len(set(out)) == M.n else None
+
+    hit = _first_conjugator(M, budget, perm)
+    if hit is not None:
+        p = hit[1]
+        _check(all(M.rows[p[i]][p[j]] == M.rows[i][j]
+                   for i in range(M.n) for j in range(M.n)),
+               "residue is a diagram automorphism")
+    return hit
+
+
+def _graph_verdict(M, spec, budget, cond2):
+    """The inner-by-graph verdict from condition (2) and parabolic preservation."""
+    if isinstance(cond2, CompatNo):
+        return NotInnerByGraph(2, cond2.counterexample)
+    cond1 = _tally(_parabolic_compat(M, pair_from_spec(M, spec), budget), budget.radius)
+    if isinstance(cond1, CompatNo):
+        return NotInnerByGraph(1, cond1.counterexample)
+    if isinstance(cond1, CompatYes) and isinstance(cond2, CompatYes):
+        hit = _locate_set_conjugator(M, spec, budget)
+        if hit is not None:
+            return InnerByGraph(*hit)
+        return Undecided("conditions hold but no conjugator within budget")
+    return Undecided("compatibility checks undecided")
 
 
 def inner_by_graph(M, spec, budget=DEFAULT):
@@ -588,19 +590,8 @@ def inner_by_graph(M, spec, budget=DEFAULT):
     onto S is located and the residue factored as a diagram permutation.
     """
     _require_verified(M, spec)
-    pair = pair_from_spec(M, spec)
-    cond2 = _rotation_condition(M, spec, budget)
-    if isinstance(cond2, CompatNo):
-        return NotInnerByGraph(2, cond2.counterexample)
-    cond1 = _parabolic_compat(M, pair, budget)
-    if isinstance(cond1, CompatNo):
-        return NotInnerByGraph(1, cond1.counterexample)
-    if isinstance(cond1, CompatYes) and isinstance(cond2, CompatYes):
-        hit = _locate_set_conjugator(M, spec, budget)
-        if hit is not None:
-            return InnerByGraph(hit[0], hit[1])
-        return Undecided("conditions hold but no conjugator within budget")
-    return Undecided("compatibility checks undecided")
+    cond2 = _tally(_rotation_condition(M, spec, budget), budget.radius)
+    return _graph_verdict(M, spec, budget, cond2)
 
 
 def cryst_shortcut(M, spec, budget=DEFAULT):
@@ -608,16 +599,7 @@ def cryst_shortcut(M, spec, budget=DEFAULT):
     if not is_crystallographic(M):
         raise ValueError("matrix is not crystallographic")
     _require_verified(M, spec)
-    pair = pair_from_spec(M, spec)
-    cond1 = _parabolic_compat(M, pair, budget)
-    if isinstance(cond1, CompatNo):
-        return NotInnerByGraph(1, cond1.counterexample)
-    if isinstance(cond1, CompatYes):
-        hit = _locate_set_conjugator(M, spec, budget)
-        if hit is not None:
-            return InnerByGraph(hit[0], hit[1])
-        return Undecided("condition holds but no conjugator within budget")
-    return Undecided("parabolic compatibility undecided")
+    return _graph_verdict(M, spec, budget, CompatYes(()))
 
 
 def _distinct_products(M, budget):
@@ -644,22 +626,22 @@ def smallwords_inner(M, spec, budget=DEFAULT):
     if M.n > 6:
         raise ValueError("rank %d exceeds the small-words cap of 6" % M.n)
     _require_verified(M, spec)
-    undecided = False
-    for w in _distinct_products(M, budget):
-        z = apply_aut(M, spec, w, budget.steps)
-        if z == w:
-            continue
-        hit = _conj_to_any(M, w, [z], budget)
-        if hit is False:
-            return NotPointwiseSmall(w, "image not conjugate to the word")
-        if hit is None:
-            undecided = True
-    if undecided:
+
+    def checks():
+        for w in _distinct_products(M, budget):
+            z = apply_aut(M, spec, w, budget.steps)
+            if z != w:
+                yield w, _conj_to_any(M, w, [z], budget)
+
+    pointwise = _tally(checks(), budget.radius)
+    if isinstance(pointwise, CompatNo):
+        return NotPointwiseSmall(pointwise.counterexample,
+                                 "image not conjugate to the word")
+    if isinstance(pointwise, CompatUnknown):
         return Undecided("some small word undecided")
     target = [apply_aut(M, spec, (i,), budget.steps) for i in range(M.n)]
-    domain, _ = _conjugator_domain(M, budget)
-    for g in domain:
-        if all(conjugate(M, g, Element((i,)), budget.steps) == target[i]
-               for i in range(M.n)):
-            return Inner(g)
+    hit = _first_conjugator(M, budget, lambda g: all(
+        conjugate(M, g, Element((i,)), budget.steps) == target[i] for i in range(M.n)))
+    if hit is not None:
+        return Inner(hit[0])
     return Undecided("pointwise test passed but no inner witness within budget")

@@ -2,7 +2,8 @@
 
 Reports are machine-readable key-value lines under a schema tag, budgets
 are always echoed, and identical invocations produce identical bytes.
-Exit status 0 means decided, 2 undecided or out of budget, 1 bad input.
+Exit status 0 means decided, 2 undecided or out of budget, 1 bad input,
+3 a failed --verify re-check.
 """
 
 import argparse
@@ -25,6 +26,10 @@ SCHEMA = "coxkit/1"
 
 
 class InputError(Exception):
+    pass
+
+
+class VerifyFailed(Exception):
     pass
 
 
@@ -108,7 +113,7 @@ def _cert_lines(cert, prefix=""):
 def _check(cond, what):
     """Fail a --verify re-check; unlike assert, this also runs under python -O."""
     if not cond:
-        raise AssertionError("verify failed: %s" % what)
+        raise VerifyFailed(what)
 
 
 def _cmd_classify(M, args, budget, out):
@@ -415,6 +420,10 @@ def main(argv=None):
         print("schema: %s" % SCHEMA)
         print("error: budget exceeded: %s" % e)
         return 2
+    except VerifyFailed as e:
+        print("schema: %s" % SCHEMA)
+        print("error: verify failed: %s" % e)
+        return 3
     for key, val in out:
         print("%s: %s" % (key, val))
     return code

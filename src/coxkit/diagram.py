@@ -114,25 +114,13 @@ def embed_letters(word, J):
 def component_ids(M):
     """Component index per generator, in the m != 2 graph."""
     key = "component_ids"
-    if key in M._cache:
-        return M._cache[key]
-    n = M.n
-    ids = [-1] * n
-    c = 0
-    for start in range(n):
-        if ids[start] >= 0:
-            continue
-        stack = [start]
-        ids[start] = c
-        while stack:
-            v = stack.pop()
-            for w in range(n):
-                if ids[w] < 0 and M.rows[v][w] != 2:
-                    ids[w] = c
-                    stack.append(w)
-        c += 1
-    M._cache[key] = ids
-    return ids
+    if key not in M._cache:
+        ids = [0] * M.n
+        for c, comp in enumerate(_sub_components(M, range(M.n))):
+            for v in comp:
+                ids[v] = c
+        M._cache[key] = ids
+    return M._cache[key]
 
 
 def components(M):
@@ -152,19 +140,7 @@ def jperp(M, J):
 
 def is_irreducible(M, J):
     """Whether J is connected in the m != 2 graph; empty and singletons count."""
-    J = sorted(J)
-    if len(J) <= 1:
-        return True
-    seen = {J[0]}
-    stack = [J[0]]
-    inside = set(J)
-    while stack:
-        v = stack.pop()
-        for w in inside:
-            if w not in seen and M.rows[v][w] != 2:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(J)
+    return len(_sub_components(M, J)) <= 1
 
 
 def is_even(M):
@@ -205,40 +181,12 @@ def _degrees(verts, edges):
 def _path_labels(verts, edges):
     """Edge labels read along a path, from its lex-least endpoint."""
     deg = _degrees(verts, edges)
-    ends = sorted(v for v in verts if deg[v] == 1)
-    adj = {v: [] for v in verts}
-    for i, j, lab in edges:
-        adj[i].append((j, lab))
-        adj[j].append((i, lab))
-    seq = []
-    prev, cur = None, ends[0]
-    while True:
-        nxt = [(w, lab) for w, lab in adj[cur] if w != prev]
-        if not nxt:
-            return seq
-        w, lab = nxt[0]
-        seq.append(lab)
-        prev, cur = cur, w
+    return _arm_seqs(verts, edges, min(v for v in verts if deg[v] == 1))[0]
 
 
 def _arms(verts, edges, center):
     """Arm lengths (edge counts) hanging off a branch vertex of a tree."""
-    adj = {v: [] for v in verts}
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    arms = []
-    for first in adj[center]:
-        length = 1
-        prev, cur = center, first
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return sorted(arms)
+    return sorted(len(seq) for seq in _arm_seqs(verts, edges, center))
 
 
 def spherical_type(M, verts):

@@ -1,8 +1,14 @@
 """Automorphism specs, compatibility reports and the inner-by-graph test."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import coxkit
 
 from coxkit.autcompat import (AutomorphismSpec, CompatNo, CompatReport,
                               CompatUnknown, CompatYes, GeneratingSetPair,
@@ -16,6 +22,10 @@ from coxkit.autcompat import (AutomorphismSpec, CompatNo, CompatReport,
 from coxkit.budgets import SearchBudget
 from coxkit.diagram import INF, coxeter_matrix
 from coxkit.words import Element, IDENTITY, conjugate, enumerate_group, reduce
+
+H3 = coxeter_matrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
+A4 = coxeter_matrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+I240 = coxeter_matrix([[1, 40], [40, 1]])
 
 I24 = coxeter_matrix([[1, 4], [4, 1]])
 I26 = coxeter_matrix([[1, 6], [6, 1]])
@@ -115,6 +125,20 @@ def test_compat_report_pins():
     assert isinstance(rep2.angle, CompatUnknown)
     assert isinstance(rep2.parabolic, CompatUnknown)
 
+    # the exact finite sweep, above the order-64 groups it once stopped at
+    rep3 = compat_report(H3, pair_from_spec(H3, inner_spec(H3, Element((0,)))))
+    assert isinstance(rep3.parabolic, CompatYes) and len(rep3.parabolic.witnesses) == 14
+    flip = AutomorphismSpec(images=((3,), (2,), (1,), (0,)),
+                            inverses=((3,), (2,), (1,), (0,)))
+    rep4 = compat_report(A4, pair_from_spec(A4, flip))
+    assert isinstance(rep4.parabolic, CompatYes) and len(rep4.parabolic.witnesses) == 30
+
+    # order 80 and no membership oracles: still exact through the model
+    s, t = Element((0,)), Element((1,))
+    pair5 = GeneratingSetPair(S1=(s, t), S2=(s, reduce(I240, (0, 1) * 3 + (0,))))
+    rep5 = compat_report(I240, pair5)
+    assert isinstance(rep5.parabolic, CompatYes) and len(rep5.parabolic.witnesses) == 6
+
 
 def test_compat_report_generation_out_of_budget():
     """An unconfirmed generation search is Unknown; a certified proper subgroup raises."""
@@ -126,6 +150,23 @@ def test_compat_report_generation_out_of_budget():
     s = Element((0,))
     with pytest.raises(ValueError, match="proper subgroup of order 2"):
         compat_report(I24, GeneratingSetPair(S1=(s, Element((1,))), S2=(s, s)))
+
+
+def test_conjugator_checks_under_python_O():
+    """The conjugator checks do not rely on assert, which python -O strips."""
+    src = str(Path(coxkit.__file__).resolve().parent.parent)
+    code = ("import coxkit.autcompat as a\n"
+            "from coxkit.diagram import coxeter_matrix\n"
+            "from coxkit.words import Element, IDENTITY\n"
+            "a._conjugator = lambda *args: IDENTITY\n"
+            "C2 = coxeter_matrix([[1, 4, 2], [4, 1, 4], [2, 4, 1]])\n"
+            "a.compat_report(C2, a.pair_from_spec(C2, a.inner_spec(C2, Element((1, 0)))))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=300)
+    assert proc.returncode != 0
+    assert "AssertionError: conjugation orbit conjugator" in proc.stderr
 
 
 def test_rank_mismatch_not_reflection_compatible():

@@ -203,9 +203,9 @@ def test_verify_failure_detected_under_python_O(files):
                            "1", "2 1 2", "--verify"],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True, env=env, timeout=120)
-    assert proc.returncode != 0
-    assert "verify: ok" not in proc.stdout
-    assert "verify failed: conjugacy certificate" in proc.stderr
+    assert proc.returncode == 3
+    assert proc.stdout == "schema: coxkit/1\nerror: verify failed: conjugacy certificate\n"
+    assert proc.stderr == ""
 
 
 def test_autcheck_invalid_spec(files, tmp_path):

@@ -1,7 +1,9 @@
 """Byte-level regression tests of the coxkit/1 reports and the demo tours.
 
 Runs the invocations of demos/cli_tour.sh, plus --verify runs of conj, pc
-and separate on I2(4) and B3, through cli.main and compares the combined
+and separate on I2(4) and B3 and of autcheck and smallwords on B~2, H3 and
+A4 (the last two reach the exact finite parabolic sweep, B~2 the bounded
+one), through cli.main and compares the combined
 stdout and exit codes with the stored transcript tests/cli_golden.txt.
 Matrix and spec files are named by placeholders, so the transcript does
 not depend on where the temporary files live.  The three Python tours in
@@ -24,7 +26,13 @@ FILES = {
     "ra.mat": "3\n1 2 inf\n2 1 inf\ninf inf 1\n",
     "i24.mat": "2\n1 4\n4 1\n",
     "b3.mat": "3\n1 4 2\n4 1 3\n2 3 1\n",
+    "h3.mat": "3\n1 5 2\n5 1 3\n2 3 1\n",
+    "a4.mat": "4\n1 3 2 2\n3 1 3 2\n2 3 1 3\n2 2 3 1\n",
     "swap.aut": "1 -> 2\n2 -> 1\n\n1 -> 2\n2 -> 1\n",
+    "b2t.aut": "1 -> 2 1 2\n2 -> 1 2 1\n3 -> 2 3 2\n\n"
+               "1 -> 2 1 2\n2 -> 1 2 1\n3 -> 1 2 3 2 1\n",
+    "h3.aut": "1 -> 1\n2 -> 1 2 1\n3 -> 3\n\n1 -> 1\n2 -> 1 2 1\n3 -> 3\n",
+    "a4.aut": "1 -> 4\n2 -> 3\n3 -> 2\n4 -> 1\n\n1 -> 4\n2 -> 3\n3 -> 2\n4 -> 1\n",
 }
 
 CASES = [
@@ -55,6 +63,13 @@ CASES = [
     ["pc", "b3.mat", "2 1 2 3 2", "--verify"],
     ["separate", "b3.mat", "1", "3", "--verify"],
     ["separate", "b3.mat", "1 2", "2 3", "--verify"],
+    # automorphism audits on an affine, a 120- and a 24-element group
+    ["autcheck", "b2t.mat", "b2t.aut", "--verify"],
+    ["smallwords", "b2t.mat", "b2t.aut", "--verify"],
+    ["autcheck", "h3.mat", "h3.aut", "--verify"],
+    ["smallwords", "h3.mat", "h3.aut", "--verify"],
+    ["autcheck", "a4.mat", "a4.aut", "--verify"],
+    ["smallwords", "a4.mat", "a4.aut", "--verify"],
 ]
 
 
