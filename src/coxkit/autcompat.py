@@ -16,10 +16,11 @@ from itertools import combinations, permutations
 from .budgets import DEFAULT
 from .diagram import INF, is_crystallographic, is_irreducible, is_spherical
 from .finite import finite_model
-from .quotients import SeparationWitness, _check, separate
-from .words import (Element, IDENTITY, _conj_orbit, _conjugator, _generators,
-                    _orbit, _path_moves, _right_orbit, conjugate, element_order,
-                    invert, multiply, parse_word, format_word, reduce, support)
+from .quotients import SeparationWitness, separate
+from .words import (Element, IDENTITY, _check, _conj_orbit, _conjugator,
+                    _generators, _orbit, _path_moves, _right_orbit, conjugate,
+                    element_order, invert, multiply, parse_word, format_word,
+                    reduce, support)
 
 
 @dataclass(frozen=True)
@@ -265,8 +266,21 @@ def _pair_order(M, s, t, budget):
 def _pair_conj_search(M, s, t, dstset, budget):
     """Simultaneous conjugation of (s, t) into the destination set.
 
-    Returns (w, 'found'), (None, 'closed') or (None, 'exhausted').
+    Returns (w, 'found'), (None, 'closed') or (None, 'exhausted').  In a
+    finite W(M) within enum_cap the orbit runs on model indices, unbounded.
     """
+    G = finite_model(M, budget.enum_cap)
+    if G is not None:
+        dst = frozenset(G.index_of(v.letters) for v in dstset)
+        status, parent = _orbit((G.index_of(s.letters), G.index_of(t.letters)),
+                                range(M.n),
+                                lambda p, a: (G.conj_by_gen(a, p[0]), G.conj_by_gen(a, p[1])),
+                                stop=lambda p: p[0] in dst and p[1] in dst)
+        if status != "found":
+            return None, status
+        moves = _path_moves(parent, next(reversed(parent)))
+        return reduce(M, tuple(moves), budget.steps), status
+
     def step(pair, g):
         return (conjugate(M, g, pair[0], budget.steps),
                 conjugate(M, g, pair[1], budget.steps))

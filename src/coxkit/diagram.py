@@ -98,15 +98,8 @@ def submatrix(M, J):
     return coxeter_matrix(tuple(tuple(M.rows[i][j] for j in J) for i in J))
 
 
-def restrict_letters(word, J):
-    """Relabel a word over J into submatrix(M, J) coordinates."""
-    J = sorted(J)
-    pos = {s: k for k, s in enumerate(J)}
-    return tuple(pos[a] for a in word)
-
-
 def embed_letters(word, J):
-    """Inverse of restrict_letters."""
+    """Relabel a word in submatrix(M, J) coordinates back onto the generators J."""
     J = sorted(J)
     return tuple(J[a] for a in word)
 

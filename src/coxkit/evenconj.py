@@ -10,15 +10,15 @@ NotConjugate always carry verified certificates; only Unknown may be
 inconclusive.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .budgets import DEFAULT
-from .diagram import (component_ids, components, is_even, is_spherical,
-                      restrict_letters, retraction_valid, spherical_order,
-                      submatrix)
-from .quotients import SeparationWitness, abelianize_even, separate
-from .words import (Conjugator, Element, IDENTITY, _conj_orbit, _conjugator,
-                    conjugate, conjugate_search, element_order, invert,
+from .diagram import (components, embed_letters, is_even, is_spherical,
+                      retraction_valid, spherical_order)
+from .quotients import (SeparationNotFound, SeparationWitness, abelianize_even,
+                        separate)
+from .words import (Element, IDENTITY, _check, _conj_orbit, _conjugator,
+                    _min_support, _restrict, conjugate, element_order, invert,
                     multiply, reduce, support)
 
 
@@ -133,47 +133,39 @@ def _probe_steps(budget):
     return max(1024, budget.steps // 64)
 
 
-def _embed(word, S):
-    back = sorted(S)
-    return Element(tuple(back[a] for a in word.letters))
+def _certified(M, g, x, y, budget):
+    """Conjugate(g), once g x g^-1 = y has been re-checked."""
+    _check(conjugate(M, g, x, budget.steps) == y, "conjugator fails g x g^-1 = y")
+    return Conjugate(g)
 
 
 def _decide_sub(M, S, x, y, budget):
-    """Recurse into the standard parabolic on S; elements come back embedded."""
-    sub = submatrix(M, S)
-    dx = Element(restrict_letters(x.letters, S))
-    dy = Element(restrict_letters(y.letters, S))
+    """Decide for the letters of x and y in S inside W_S; a conjugator
+    comes back in W's labels."""
+    sub, dx = _restrict(M, S, x)
+    _, dy = _restrict(M, S, y)
     res = decide_conjugacy_even(sub, dx, dy, budget)
     if isinstance(res, Conjugate):
-        return Conjugate(_embed(res.g, S))
+        return Conjugate(Element(embed_letters(res.g.letters, S)))
     return res
 
 
-def _min_support_conjugate(M, x, budget):
-    """Search the conjugation orbit for an element of smaller support.
+def _search_or_separate(M, x, y, budget, radius, cap):
+    """Search x's conjugation orbit for y, then try quotient separation.
 
-    Returns (x', a) with a x a^-1 = x'.
+    Returns Conjugate, NotConjugate (closed class or separating quotient),
+    or separate's SeparationNotFound, for the caller to word as Unknown.
     """
-    _, parent = _conj_orbit(M, x, radius=budget.radius, cap=budget.class_cap,
-                            steps=budget.steps)
-    best = min(parent, key=lambda z: (len(support(z)), len(z.letters), z.letters))
-    return best, _conjugator(M, parent, best, budget.steps)
-
-
-def _conjugate_fallback(M, x, y, budget):
-    status, parent = _conj_orbit(M, x, target=y, radius=budget.radius,
-                                 cap=budget.class_cap, steps=budget.steps)
+    status, parent = _conj_orbit(M, x, target=y, radius=radius, cap=cap,
+                                 steps=budget.steps)
     if status == "found":
-        g = _conjugator(M, parent, y, budget.steps)
-        assert conjugate(M, g, x, budget.steps) == y
-        return Conjugate(g)
+        return _certified(M, _conjugator(M, parent, y, budget.steps), x, y, budget)
     if status == "closed":
         return NotConjugate(ClosedClassCertificate(len(parent)))
     wit = separate(M, x, y, budget=budget)
     if isinstance(wit, SeparationWitness):
         return NotConjugate(QuotientCertificate(wit))
-    return Unknown("radius %d and %d quotients exhausted"
-                   % (budget.radius, wit.tried))
+    return wit
 
 
 def decide_conjugacy_even(M, x, y, budget=DEFAULT):
@@ -202,14 +194,10 @@ def decide_conjugacy_even(M, x, y, budget=DEFAULT):
 
     comps = components(M)
     if len(comps) > 1:
-        ids = component_ids(M)
         g = IDENTITY
         unknown = None
         for c in comps:
-            cset = frozenset(c)
-            px = Element(tuple(a for a in x.letters if ids[a] == ids[c[0]]))
-            py = Element(tuple(a for a in y.letters if ids[a] == ids[c[0]]))
-            res = _decide_sub(M, cset, px, py, budget)
+            res = _decide_sub(M, c, x, y, budget)
             if isinstance(res, NotConjugate):
                 return NotConjugate(ComponentCertificate(c, res.certificate))
             if isinstance(res, Unknown):
@@ -218,39 +206,33 @@ def decide_conjugacy_even(M, x, y, budget=DEFAULT):
             g = multiply(M, g, res.g, budget.steps)
         if unknown is not None:
             return unknown
-        assert conjugate(M, g, x, budget.steps) == y
-        return Conjugate(g)
+        return _certified(M, g, x, y, budget)
 
-    if is_spherical(M, frozenset(range(M.n))):
-        order = spherical_order(M, frozenset(range(M.n)))
-        status, parent = _conj_orbit(M, x, target=y,
-                                     cap=max(order, budget.class_cap),
-                                     steps=budget.steps)
-        if status == "found":
-            g = _conjugator(M, parent, y, budget.steps)
-            assert conjugate(M, g, x, budget.steps) == y
-            return Conjugate(g)
-        assert status == "closed"
-        return NotConjugate(ClosedClassCertificate(len(parent)))
-
-    if M.n > 1:
-        x2, a = _min_support_conjugate(M, x, budget)
-        y2, b = _min_support_conjugate(M, y, budget)
+    full = frozenset(range(M.n))
+    radius, cap = budget.radius, budget.class_cap
+    if is_spherical(M, full):
+        # the whole class fits under the cap, so the search always ends
+        radius, cap = None, max(spherical_order(M, full), cap)
+    else:
+        x2, px = _min_support(M, x, budget)
+        y2, py = _min_support(M, y, budget)
         I, J = support(x2), support(y2)
         if len(I) < M.n and len(J) < M.n:
+            a = _conjugator(M, px, x2, budget.steps)
+            b = _conjugator(M, py, y2, budget.steps)
             res = _criterion_decide(M, I, J, x2, y2, budget)
             if isinstance(res, Conjugate):
                 g = multiply(M, multiply(M, invert(M, b, budget.steps), res.g,
                                          budget.steps), a, budget.steps)
-                assert conjugate(M, g, x, budget.steps) == y
-                return Conjugate(g)
+                return _certified(M, g, x, y, budget)
             if isinstance(res, NotConjugate):
-                cert = res.certificate
-                cert = CriterionCertificate(cert.I, cert.J, cert.condition,
-                                            cert.sub, a, b)
-                return NotConjugate(cert)
+                return NotConjugate(replace(res.certificate, a=a, b=b))
 
-    return _conjugate_fallback(M, x, y, budget)
+    res = _search_or_separate(M, x, y, budget, radius, cap)
+    if isinstance(res, SeparationNotFound):
+        return Unknown("radius %d and %d quotients exhausted"
+                       % (budget.radius, res.tried))
+    return res
 
 
 def _criterion_decide(M, I, J, x, y, budget):
@@ -259,32 +241,25 @@ def _criterion_decide(M, I, J, x, y, budget):
     Returns Conjugate(g') with g' x g'^-1 = y, NotConjugate carrying the
     failed condition index, or Unknown when some oracle is inconclusive.
     """
-    rIy = retract(M, I, y, budget.steps)
-    rJx = retract(M, J, x, budget.steps)
     IJ = frozenset(I) & frozenset(J)
-    rIJx = retract(M, IJ, x, budget.steps)
-    rIJy = retract(M, IJ, y, budget.steps)
-
-    d1 = _decide_sub(M, I, x, rIy, budget)
-    if isinstance(d1, NotConjugate):
-        return NotConjugate(CriterionCertificate(frozenset(I), frozenset(J), 1,
-                                                 d1.certificate, IDENTITY, IDENTITY))
-    d2 = _decide_sub(M, J, y, rJx, budget)
-    if isinstance(d2, NotConjugate):
-        return NotConjugate(CriterionCertificate(frozenset(I), frozenset(J), 2,
-                                                 d2.certificate, IDENTITY, IDENTITY))
-    d3 = _decide_sub(M, IJ, rIJx, rIJy, budget) if IJ else Conjugate(IDENTITY)
-    if isinstance(d3, NotConjugate):
-        return NotConjugate(CriterionCertificate(frozenset(I), frozenset(J), 3,
-                                                 d3.certificate, IDENTITY, IDENTITY))
-    if isinstance(d1, Unknown) or isinstance(d2, Unknown) or isinstance(d3, Unknown):
+    conditions = ((I, x, retract(M, I, y, budget.steps)),
+                  (J, y, retract(M, J, x, budget.steps)),
+                  (IJ, retract(M, IJ, x, budget.steps), retract(M, IJ, y, budget.steps)))
+    ds = []
+    for k, (S, u, v) in enumerate(conditions, 1):
+        # W_S is trivial when S is empty, and then u = v = 1
+        d = _decide_sub(M, S, u, v, budget) if S else Conjugate(IDENTITY)
+        if isinstance(d, NotConjugate):
+            return NotConjugate(CriterionCertificate(frozenset(I), frozenset(J), k,
+                                                     d.certificate, IDENTITY, IDENTITY))
+        ds.append(d)
+    if any(isinstance(d, Unknown) for d in ds):
         return Unknown("criterion oracle undecided")
-    g1, g2, g3 = d1.g, d2.g, d3.g
+    g1, g2, g3 = (d.g for d in ds)
     gp = multiply(M, multiply(M, invert(M, g2, budget.steps),
                               invert(M, g3, budget.steps), budget.steps),
                   g1, budget.steps)
-    assert conjugate(M, gp, x, budget.steps) == y
-    return Conjugate(gp)
+    return _certified(M, gp, x, y, budget)
 
 
 def decide_conjugacy(M, x, y, budget=DEFAULT):
@@ -297,16 +272,11 @@ def decide_conjugacy(M, x, y, budget=DEFAULT):
     y = reduce(M, y, budget.steps)
     if x == y:
         return Conjugate(IDENTITY)
-    hit = conjugate_search(M, x, y, budget.radius, budget.steps)
-    if isinstance(hit, Conjugator):
-        return Conjugate(hit.g)
-    if hit.closed:
-        return NotConjugate(ClosedClassCertificate(hit.class_size))
-    wit = separate(M, x, y, budget=budget)
-    if isinstance(wit, SeparationWitness):
-        return NotConjugate(QuotientCertificate(wit))
-    return Unknown("no conjugator within radius %d and no separating quotient"
-                   % budget.radius)
+    res = _search_or_separate(M, x, y, budget, budget.radius, None)
+    if isinstance(res, SeparationNotFound):
+        return Unknown("no conjugator within radius %d and no separating quotient"
+                       % budget.radius)
+    return res
 
 
 def verify_decision(M, x, y, decision, budget=DEFAULT):
@@ -343,14 +313,9 @@ def _verify_cert(M, x, y, cert, budget):
                                      steps=budget.steps)
         return status == "closed" and len(parent) == cert.class_size
     if isinstance(cert, ComponentCertificate):
-        cset = frozenset(cert.component)
-        ids = component_ids(M)
-        px = Element(tuple(a for a in x.letters if ids[a] in {ids[c] for c in cert.component}))
-        py = Element(tuple(a for a in y.letters if ids[a] in {ids[c] for c in cert.component}))
-        sub = submatrix(M, cset)
-        return _verify_cert(sub, Element(restrict_letters(px.letters, cset)),
-                            Element(restrict_letters(py.letters, cset)),
-                            cert.sub, budget)
+        if tuple(cert.component) not in components(M):
+            return False
+        return _verify_sub(M, cert.component, x, y, cert.sub, budget)
     if isinstance(cert, CriterionCertificate):
         x2 = conjugate(M, cert.a, x, budget.steps)
         y2 = conjugate(M, cert.b, y, budget.steps)
@@ -365,8 +330,12 @@ def _verify_cert(M, x, y, cert, budget):
             S = I & J
             u = retract(M, S, x2, budget.steps)
             v = retract(M, S, y2, budget.steps)
-        sub = submatrix(M, S)
-        return _verify_cert(sub, Element(restrict_letters(u.letters, S)),
-                            Element(restrict_letters(v.letters, S)),
-                            cert.sub, budget)
+        return _verify_sub(M, S, u, v, cert.sub, budget)
     return False
+
+
+def _verify_sub(M, S, x, y, cert, budget):
+    """Re-check cert for the letters of x and y in S, inside W_S."""
+    sub, dx = _restrict(M, S, x)
+    _, dy = _restrict(M, S, y)
+    return _verify_cert(sub, dx, dy, cert, budget)

@@ -9,15 +9,15 @@ Coxeter products and their powers, support descent) and otherwise reported
 as a bounding parabolic with the search radius that failed to shrink it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
 from .budgets import DEFAULT
-from .diagram import (component_ids, components, embed_letters, is_spherical,
-                      restrict_letters, spherical_order, submatrix)
+from .diagram import components, embed_letters, is_spherical, spherical_order
 from .finite import finite_model
-from .words import (Element, IDENTITY, _conj_orbit, _conjugator, _path_moves,
-                    conjugate, invert, multiply, reduce, support)
+from .words import (Element, IDENTITY, _check, _conjugator, _min_support,
+                    _path_moves, _restrict, conjugate, invert, multiply, reduce,
+                    support)
 
 
 @dataclass(frozen=True)
@@ -99,28 +99,23 @@ def pc_coxeter_product(M, order):
     if len(set(order)) != len(order):
         raise ValueError("letters must be pairwise distinct")
     x = reduce(M, order)
-    assert len(x.letters) == len(order)
+    _check(len(x.letters) == len(order), "distinct generators spell a reduced word")
     return x, PcExact(standard(order))
 
 
-def _embed_pc(res, S):
-    back = sorted(S)
-    def emb(p):
-        return Parabolic(Element(embed_letters(p.g.letters, S)),
-                         frozenset(back[j] for j in p.J))
-    if isinstance(res, PcExact):
-        return PcExact(emb(res.parabolic))
-    if isinstance(res, PcBounded):
-        return PcBounded(emb(res.parabolic), res.radius)
-    return res
+def _map_pc(res, f):
+    """res with f applied to its parabolic; a PcUnknown has none."""
+    if isinstance(res, PcUnknown):
+        return res
+    return replace(res, parabolic=f(res.parabolic))
 
 
-def _conj_pc(M, res, h, steps):
-    if isinstance(res, PcExact):
-        return PcExact(conjugated(M, h, res.parabolic, steps))
-    if isinstance(res, PcBounded):
-        return PcBounded(conjugated(M, h, res.parabolic, steps), res.radius)
-    return res
+def _pc_sub(M, S, x, budget):
+    """Closure of x's letters in S, found in W_S and relabelled into W."""
+    sub, dx = _restrict(M, S, x)
+    return _map_pc(pc_element(sub, dx, budget),
+                   lambda P: Parabolic(Element(embed_letters(P.g.letters, S)),
+                                       frozenset(embed_letters(P.J, S))))
 
 
 def _coxeter_power(M, x, steps):
@@ -182,22 +177,15 @@ def pc_element(M, x, budget=DEFAULT):
         return PcExact(standard(()))
     S = support(x)
     if len(S) < M.n:
-        sub = submatrix(M, S)
-        inner = pc_element(sub, Element(restrict_letters(x.letters, S)), budget)
-        return _embed_pc(inner, S)
+        return _pc_sub(M, S, x, budget)
     comps = components(M)
     if len(comps) > 1:
-        ids = component_ids(M)
         g = IDENTITY
         J = set()
         exact = True
         radius = 0
         for c in comps:
-            cset = frozenset(c)
-            part = tuple(a for a in x.letters if ids[a] == ids[c[0]])
-            res = pc_element(submatrix(M, cset),
-                             Element(restrict_letters(part, cset)), budget)
-            res = _embed_pc(res, cset)
+            res = _pc_sub(M, c, x, budget)
             if isinstance(res, PcUnknown):
                 return res
             g = multiply(M, g, res.parabolic.g, budget.steps)
@@ -211,13 +199,11 @@ def pc_element(M, x, budget=DEFAULT):
         return _pc_finite(M, x, budget)
     if _coxeter_power(M, x, budget.steps):
         return PcExact(standard(range(M.n)))
-    _, parent = _conj_orbit(M, x, radius=budget.radius, cap=budget.class_cap,
-                            steps=budget.steps)
-    best = min(parent, key=lambda z: (len(support(z)), len(z.letters), z.letters))
+    best, parent = _min_support(M, x, budget)
     if len(support(best)) < M.n:
-        g = _conjugator(M, parent, best, budget.steps)
-        inner = pc_element(M, best, budget)
-        return _conj_pc(M, inner, invert(M, g, budget.steps), budget.steps)
+        h = invert(M, _conjugator(M, parent, best, budget.steps), budget.steps)
+        return _map_pc(pc_element(M, best, budget),
+                       lambda P: conjugated(M, h, P, budget.steps))
     for z in sorted(parent, key=lambda z: (len(z.letters), z.letters)):
         if z != x and _coxeter_power(M, z, budget.steps):
             return PcExact(standard(range(M.n)))

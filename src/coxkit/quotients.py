@@ -18,7 +18,7 @@ from .budgets import DEFAULT
 from .diagram import (INF, coxeter_matrix, is_even, is_spherical,
                       retraction_valid, spherical_order, submatrix)
 from .finite import finite_model
-from .words import Element, _orbit
+from .words import Element, _check, _orbit
 
 SENTINEL = -1
 
@@ -163,12 +163,6 @@ def todd_coxeter(M, subgroup_gens, coset_cap=DEFAULT.cosets):
     table = CosetTable(len(live), perms)
     _verify_table(M, table, subwords)
     return table
-
-
-def _check(cond, what):
-    """An internal consistency check that, unlike assert, also runs under python -O."""
-    if not cond:
-        raise AssertionError(what)
 
 
 def _verify_table(M, table, subwords):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .budgets import DEFAULT
-from .diagram import INF, component_ids
+from .diagram import INF, component_ids, submatrix
 
 DEFAULT_STEPS = DEFAULT.steps
 
@@ -169,6 +169,12 @@ def _reduce_letters(M, w, budget):
     return res
 
 
+def _check(cond, what):
+    """An internal consistency check that, unlike assert, also runs under python -O."""
+    if not cond:
+        raise AssertionError(what)
+
+
 def _check_letters(M, w):
     for a in w:
         if not isinstance(a, int) or not 0 <= a < M.n:
@@ -200,6 +206,16 @@ def conjugate(M, g, x, steps=DEFAULT_STEPS):
     budget = [steps, steps]
     w = g.letters + x.letters + g.letters[::-1]
     return Element(_reduce_letters(M, w, budget))
+
+
+def _restrict(M, S, w):
+    """submatrix(M, S) and w's letters in S, relabelled into its coordinates.
+
+    Dropping the other letters is the retraction onto W_S, or for a
+    component S the projection onto that factor.
+    """
+    pos = {s: k for k, s in enumerate(sorted(S))}
+    return submatrix(M, S), Element(tuple(pos[a] for a in w.letters if a in pos))
 
 
 def length(M, w, steps=DEFAULT_STEPS):
@@ -338,16 +354,25 @@ def _conjugator(M, parent, z, steps=DEFAULT_STEPS):
     return g
 
 
-def conjugate_search(M, x, y, radius=8, steps=DEFAULT_STEPS):
+def conjugate_search(M, x, y, radius=DEFAULT.radius, steps=DEFAULT_STEPS):
     """Look for g with g x g^-1 = y among conjugators of length <= radius."""
     x = reduce(M, x.letters if isinstance(x, Element) else x, steps)
     y = reduce(M, y.letters if isinstance(y, Element) else y, steps)
     status, parent = _conj_orbit(M, x, target=y, radius=radius, steps=steps)
     if status == "found":
         g = _conjugator(M, parent, y, steps)
-        assert conjugate(M, g, x, steps) == y
+        _check(conjugate(M, g, x, steps) == y, "conjugation orbit conjugator")
         return Conjugator(g)
     return NotFoundWithin(radius, closed=(status == "closed"), class_size=len(parent))
+
+
+def _min_support(M, x, budget):
+    """The point of least support in x's conjugation orbit within the
+    budget's radius and class_cap (then shortest, then lex-least), and the
+    orbit's parent map."""
+    _, parent = _conj_orbit(M, x, radius=budget.radius, cap=budget.class_cap,
+                            steps=budget.steps)
+    return min(parent, key=lambda z: (len(support(z)), len(z.letters), z.letters)), parent
 
 
 def conjugacy_class(M, x, cap, steps=DEFAULT_STEPS):
@@ -361,7 +386,7 @@ def conjugacy_class(M, x, cap, steps=DEFAULT_STEPS):
     return out
 
 
-def element_order(M, x, cap=128, steps=DEFAULT_STEPS):
+def element_order(M, x, cap=DEFAULT.order_cap, steps=DEFAULT_STEPS):
     """Order of x if found within cap powers, else None.
 
     Powers of an infinite-order element grow in length, so we also bail out

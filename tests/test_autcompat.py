@@ -138,6 +138,8 @@ def test_compat_report_pins():
     pair5 = GeneratingSetPair(S1=(s, t), S2=(s, reduce(I240, (0, 1) * 3 + (0,))))
     rep5 = compat_report(I240, pair5)
     assert isinstance(rep5.parabolic, CompatYes) and len(rep5.parabolic.witnesses) == 6
+    # the pair orbit runs on the model too, unbounded
+    assert rep5.angle == CompatNo((1, (s, t)))
 
 
 def test_compat_report_generation_out_of_budget():

@@ -1,12 +1,19 @@
 """Retractions of even groups and the conjugacy decision procedure."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coxkit
+
+from coxkit.budgets import SearchBudget
 from coxkit.diagram import INF, coxeter_matrix
-from coxkit.evenconj import (ClosedClassCertificate, Conjugate,
-                             CriterionCertificate, NotConjugate,
+from coxkit.evenconj import (ClosedClassCertificate, ComponentCertificate,
+                             Conjugate, CriterionCertificate, NotConjugate,
                              OrderCertificate, QuotientCertificate, Unknown,
                              decide_conjugacy, decide_conjugacy_even,
                              retr_criterion, retract,
@@ -185,6 +192,9 @@ def test_verify_rejects_wrong_certificates():
                                NotConjugate(OrderCertificate(2, 4)))
     assert verify_decision(B2T, x, y, good)
     assert verify_decision(B2T, x, y, Unknown("gave up"))
+    # (0,) is not a component of B2 x A1, whose components are (0, 1) and (2,)
+    bad = NotConjugate(ComponentCertificate((0,), OrderCertificate(2, 4)))
+    assert not verify_decision(B2A1, Element((1,)), Element((0,)), bad)
 
 
 def test_closed_class_certificate():
@@ -193,3 +203,43 @@ def test_closed_class_certificate():
     assert isinstance(d.certificate,
                       (ClosedClassCertificate, QuotientCertificate))
     assert verify_decision(B2, Element((0,)), Element((1,)), d)
+
+
+def test_unknown_reasons():
+    """Both routes word their own Unknown once search and separation fail."""
+    tight = SearchBudget(radius=1)
+    x = Element((1,))
+    y = conjugate(B2T, Element((0, 1, 0, 2)), x)
+    assert decide_conjugacy_even(B2T, x, y, tight) == \
+        Unknown("radius 1 and 10 quotients exhausted")
+    A2T = coxeter_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+    y = conjugate(A2T, Element((1, 2)), Element((0,)))
+    assert decide_conjugacy(A2T, (0,), y, tight) == \
+        Unknown("no conjugator within radius 1 and no separating quotient")
+
+
+def test_criterion_with_trivial_parabolic():
+    """The identity against an infinite-order element: W_I is trivial."""
+    x, y = IDENTITY, Element((0, 2, 0, 2))
+    for u, v in ((x, y), (y, x)):
+        d = decide_conjugacy_even(RA, u, v)
+        assert isinstance(d, NotConjugate)
+        assert isinstance(d.certificate, CriterionCertificate)
+        assert verify_decision(RA, u, v, d)
+
+
+def test_conjugator_checks_under_python_O():
+    """The conjugator checks do not rely on assert, which python -O strips."""
+    src = str(Path(coxkit.__file__).resolve().parent.parent)
+    code = ("import coxkit.evenconj as e\n"
+            "from coxkit.diagram import coxeter_matrix\n"
+            "from coxkit.words import Element, IDENTITY\n"
+            "e._conjugator = lambda *args: IDENTITY\n"
+            "B2 = coxeter_matrix([[1, 4], [4, 1]])\n"
+            "e.decide_conjugacy_even(B2, Element((0,)), Element((1, 0, 1)))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode != 0
+    assert "AssertionError: conjugator fails g x g^-1 = y" in proc.stderr
