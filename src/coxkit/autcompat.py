@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from .budgets import DEFAULT
 from .diagram import INF, is_crystallographic, is_irreducible, is_spherical
 from .finite import finite_model
-from .quotients import SeparationWitness, separate
+from .quotients import SeparationWitness, _broken_relator, separate
 from .words import (Element, IDENTITY, _check, _conj_orbit, _conjugator,
                     _generators, _orbit, _path_moves, _right_orbit, conjugate,
                     element_order, invert, multiply, parse_word, format_word,
@@ -99,17 +99,10 @@ def verify_automorphism(M, spec, steps=DEFAULT.steps):
     if len(spec.images) != n or len(spec.inverses) != n:
         return Invalid("expected %d images and %d inverse images" % (n, n))
     imgs = [reduce(M, w, steps) for w in spec.images]
-    for i in range(n):
-        for j in range(i, n):
-            m = M.rows[i][j]
-            if m == INF:
-                continue
-            step = multiply(M, imgs[i], imgs[j], steps)
-            acc = IDENTITY
-            for _ in range(int(m)):
-                acc = multiply(M, acc, step, steps)
-            if acc != IDENTITY:
-                return Invalid("relator (%d,%d)^%s not preserved" % (i + 1, j + 1, m))
+    broken = _broken_relator(M, imgs, lambda a, b: multiply(M, a, b, steps), IDENTITY)
+    if broken is not None:
+        i, j, m = broken
+        return Invalid("relator (%d,%d)^%s not preserved" % (i + 1, j + 1, m))
     for i in range(n):
         if apply_aut(M, spec, spec.inverses[i], steps) != Element((i,)):
             return Invalid("alpha(alpha^-1(s%d)) differs from s%d" % (i + 1, i + 1))

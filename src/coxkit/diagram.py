@@ -12,8 +12,6 @@ from itertools import combinations
 
 INF = math.inf
 
-Entry = "int | float"
-
 
 @dataclass(frozen=True)
 class CoxeterMatrix:
@@ -93,9 +91,16 @@ def format_matrix(M):
 
 
 def submatrix(M, J):
-    """Induced matrix on sorted(J)."""
-    J = sorted(J)
-    return coxeter_matrix(tuple(tuple(M.rows[i][j] for j in J) for i in J))
+    """Induced matrix on sorted(J), one object per subset, kept in M._cache.
+
+    Keeping it lets the sub-matrix's own caches (reduce results, finite
+    model, separation plans) outlive the call that asked for it.
+    """
+    key = ("submatrix", frozenset(J))
+    if key not in M._cache:
+        J = sorted(key[1])
+        M._cache[key] = coxeter_matrix(tuple(tuple(M.rows[i][j] for j in J) for i in J))
+    return M._cache[key]
 
 
 def embed_letters(word, J):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 
 from .budgets import DEFAULT
-from .diagram import (INF, coxeter_matrix, is_even, is_spherical,
+from .diagram import (INF, components, coxeter_matrix, is_even, is_spherical,
                       retraction_valid, spherical_order, submatrix)
 from .finite import finite_model
 from .words import Element, _check, _orbit
@@ -297,6 +297,27 @@ class _PermImage:
         return "".join(cycles) if cycles else "()"
 
 
+def _broken_relator(M, gens, mult, identity):
+    """The first (s, t, m) with s <= t and (g_s g_t)^m != 1, or None.
+
+    gens[s] is the image g_s of generator s.  Pairs s > t add nothing,
+    since (g_s g_t)^m = 1 exactly when (g_t g_s)^m = 1; s = t checks
+    that g_s is an involution or trivial.
+    """
+    for s in range(M.n):
+        for t in range(s, M.n):
+            m = M.rows[s][t]
+            if m == INF:
+                continue
+            step = mult(gens[s], gens[t])
+            acc = identity
+            for _ in range(int(m)):
+                acc = mult(acc, step)
+            if acc != identity:
+                return s, t, m
+    return None
+
+
 class FiniteQuotientHom:
     """A verified homomorphism onto a finite group.
 
@@ -314,19 +335,11 @@ class FiniteQuotientHom:
         self._verify_relators(M)
 
     def _verify_relators(self, M):
-        img = self.image
-        for s in range(M.n):
-            for t in range(M.n):
-                m = M.rows[s][t]
-                if m == INF:
-                    continue
-                acc = img.identity
-                step = img.mult(self.gen_images[s], self.gen_images[t])
-                for _ in range(int(m)):
-                    acc = img.mult(acc, step)
-                if acc != img.identity:
-                    raise ValueError("relator (%d,%d)^%d not killed by %s"
-                                     % (s + 1, t + 1, m, self.label))
+        broken = _broken_relator(M, self.gen_images, self.image.mult, self.image.identity)
+        if broken is not None:
+            s, t, m = broken
+            raise ValueError("relator (%d,%d)^%d not killed by %s"
+                             % (s + 1, t + 1, m, self.label))
 
     def image_of(self, w):
         if isinstance(w, Element):
@@ -408,7 +421,10 @@ def retraction_hom(M, I):
     return _coxeter_hom(M, "retraction", "retraction onto I=%s" % _braces(I), I, sub)
 
 
-def perm_hom(M, subgroup_gens, label, coset_cap=1024,
+_COSET_CAP = 1024
+
+
+def perm_hom(M, subgroup_gens, label, coset_cap=_COSET_CAP,
              class_cap=DEFAULT.class_cap):
     """Permutation quotient from coset enumeration, or None past the cap."""
     table = todd_coxeter(M, subgroup_gens, coset_cap)
@@ -468,80 +484,53 @@ def _smallest_lowerings(M, limit):
     return [low for _, _, low in cands[:limit]]
 
 
-def _plan_specializations(M, limit=24):
-    homs = []
-    for M2 in _smallest_lowerings(M, limit):
-        try:
-            homs.append(specialize(M, M2))
-        except ValueError:
-            continue
-    return homs
+def _built(build, *args):
+    """[build(*args)], or [] when the target turns out not to qualify."""
+    try:
+        return [build(*args)]
+    except ValueError:
+        return []
 
 
-def _plan_retractions(M):
-    homs = []
+def _plan(M, budget):
+    """The separation plan's homs, in the order separate tries them.
+
+    Cosets are enumerated only for W_J containing every infinite component
+    of W: any other W_J has infinite index, since a proper standard
+    parabolic of an infinite irreducible Coxeter group does, so its
+    enumeration could never close.
+    """
     n = M.n
-    subsets = [frozenset(K) for r in range(1, n) for K in combinations(range(n), r)]
-    subsets.sort(key=lambda K: (-(spherical_order(M, K) or 0), tuple(sorted(K))))
-    for I in subsets:
-        if not is_spherical(M, I) or not retraction_valid(M, I):
-            continue
-        try:
-            homs.append(retraction_hom(M, I))
-        except ValueError:
-            continue
-    return homs
-
-
-def _plan_perms(M, budget):
-    homs = []
-    n = M.n
-    cap = min(budget.cosets, 1024)
-    subsets = [frozenset(K) for r in range(n - 1, 0, -1)
-               for K in combinations(range(n), r)]
-    for J in subsets:
-        gens = [Element((s,)) for s in sorted(J)]
-        hom = perm_hom(M, gens, "cosets of W_%s" % _braces(J),
-                       coset_cap=cap, class_cap=budget.class_cap)
-        if hom is not None:
-            homs.append(hom)
-    return homs
-
-
-def _plan_composites(M, limit=16):
-    homs = []
-    n = M.n
-    for r in range(2, n):
-        for I in combinations(range(n), r):
-            if not retraction_valid(M, I):
-                continue
-            sub = submatrix(M, I)
-            if is_spherical(sub, frozenset(range(r))):
-                continue
-            for low in _smallest_lowerings(sub, 4):
-                try:
-                    homs.append(composite_hom(M, I, low))
-                except ValueError:
-                    continue
-                if len(homs) >= limit:
-                    return homs
-    return homs
+    if is_even(M):
+        yield abelianize_even(M)
+    proper = [frozenset(K) for r in range(1, n) for K in combinations(range(n), r)]
+    proper.sort(key=lambda K: (-(spherical_order(M, K) or 0), tuple(sorted(K))))
+    for I in proper:
+        if is_spherical(M, I) and retraction_valid(M, I):
+            yield from _built(retraction_hom, M, I)
+    for M2 in _smallest_lowerings(M, 24):
+        yield from _built(specialize, M, M2)
+    infinite = set().union(*(C for C in components(M) if not is_spherical(M, C)))
+    for r in range(n - 1, 0, -1):
+        for J in combinations(range(n), r):
+            if infinite <= set(J):
+                hom = perm_hom(M, [Element((s,)) for s in J], "cosets of W_%s" % _braces(J),
+                               min(budget.cosets, _COSET_CAP), budget.class_cap)
+                if hom is not None:
+                    yield hom
+    lowered = (hom for r in range(2, n) for I in combinations(range(n), r)
+               if retraction_valid(M, I) and not is_spherical(M, I)
+               for low in _smallest_lowerings(submatrix(M, I), 4)
+               for hom in _built(composite_hom, M, I, low))
+    yield from islice(lowered, 16)
 
 
 def separation_plan(M, budget=DEFAULT):
     """The hom family tried by separate, cheapest first, cached per matrix."""
     key = ("sep_plan", budget.cosets, budget.class_cap)
-    if key in M._cache:
-        return M._cache[key]
-    plan = []
-    if is_even(M):
-        plan.append(abelianize_even(M))
-    plan.extend(_plan_retractions(M))
-    plan.extend(_plan_specializations(M))
-    plan.extend(_plan_perms(M, budget))
-    plan.extend(_plan_composites(M))
-    M._cache[key] = plan
-    return plan
+    if key not in M._cache:
+        M._cache[key] = list(_plan(M, budget))
+    return M._cache[key]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Byte-level regression tests of the coxkit/1 reports and the demo tours.
 
 Runs the invocations of demos/cli_tour.sh, plus --verify runs of conj, pc
-and separate on I2(4) and B3 and of autcheck and smallwords on B~2, H3 and
+and separate on I2(4) and B3, of autcheck and smallwords on B~2, H3 and
 A4 (the last two reach the exact finite parabolic sweep, B~2 the bounded
-one), through cli.main and compares the combined
+one) and separate --plan on B~2, B3 and B~2 x A1, through cli.main and
+compares the combined
 stdout and exit codes with the stored transcript tests/cli_golden.txt.
 Matrix and spec files are named by placeholders, so the transcript does
 not depend on where the temporary files live.  The three Python tours in
@@ -28,6 +29,7 @@ FILES = {
     "b3.mat": "3\n1 4 2\n4 1 3\n2 3 1\n",
     "h3.mat": "3\n1 5 2\n5 1 3\n2 3 1\n",
     "a4.mat": "4\n1 3 2 2\n3 1 3 2\n2 3 1 3\n2 2 3 1\n",
+    "c2ta1.mat": "4\n1 4 2 2\n4 1 4 2\n2 4 1 2\n2 2 2 1\n",
     "swap.aut": "1 -> 2\n2 -> 1\n\n1 -> 2\n2 -> 1\n",
     "b2t.aut": "1 -> 2 1 2\n2 -> 1 2 1\n3 -> 2 3 2\n\n"
                "1 -> 2 1 2\n2 -> 1 2 1\n3 -> 1 2 3 2 1\n",
@@ -70,6 +72,11 @@ CASES = [
     ["smallwords", "h3.mat", "h3.aut", "--verify"],
     ["autcheck", "a4.mat", "a4.aut", "--verify"],
     ["smallwords", "a4.mat", "a4.aut", "--verify"],
+    # separation plans of an affine, a spherical and a reducible group:
+    # coset actions appear only for W_J of finite index
+    ["separate", "b2t.mat", "1", "2 1 2", "--plan"],
+    ["separate", "b3.mat", "1", "2 1 2", "--plan"],
+    ["separate", "c2ta1.mat", "1", "2 1 2", "--plan"],
 ]
 
 

@@ -158,3 +158,11 @@ def test_submatrix():
     assert S.rows == ((1, 2), (2, 1))
     assert is_spherical(B3, frozenset([1, 2]))
     assert spherical_type(submatrix(B3, [1, 2]), range(2)) == "B2"
+
+
+def test_submatrix_one_object_per_subset():
+    """Sub-matrices are kept per parent, so their own caches outlive a call."""
+    M = mat((1, 4, 2), (4, 1, 4), (2, 4, 1))
+    assert submatrix(M, [2, 0]) is submatrix(M, (0, 2))
+    assert submatrix(M, [2, 0]) is not submatrix(M, [0, 1])
+    assert submatrix(M, {0, 2}).rows == ((1, 2), (2, 1))

@@ -11,7 +11,7 @@ import pytest
 import coxkit
 
 from coxkit.budgets import SearchBudget
-from coxkit.diagram import INF, coxeter_matrix
+from coxkit.diagram import INF, coxeter_matrix, submatrix
 from coxkit.evenconj import (ClosedClassCertificate, ComponentCertificate,
                              Conjugate, CriterionCertificate, NotConjugate,
                              OrderCertificate, QuotientCertificate, Unknown,
@@ -226,6 +226,14 @@ def test_criterion_with_trivial_parabolic():
         assert isinstance(d, NotConjugate)
         assert isinstance(d.certificate, CriterionCertificate)
         assert verify_decision(RA, u, v, d)
+
+
+def test_component_caches_outlive_a_decision():
+    """The recursion reuses the parent's component matrix and its reduce cache."""
+    M = coxeter_matrix([[1, 4, 2, 2], [4, 1, 4, 2], [2, 4, 1, 2], [2, 2, 2, 1]])
+    x, y = reduce(M, (0, 1, 3)), reduce(M, (1, 0, 3))
+    assert isinstance(decide_conjugacy_even(M, x, y), Conjugate)
+    assert submatrix(M, (0, 1, 2))._cache["reduce"]
 
 
 def test_conjugator_checks_under_python_O():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,9 @@ import coxkit
 from coxkit.budgets import SearchBudget
 from coxkit.diagram import INF, coxeter_matrix
 from coxkit.finite import finite_model
-from coxkit.quotients import (CapExceeded, SeparationNotFound,
-                              SeparationWitness, abelianize_even,
+from coxkit.quotients import (CapExceeded, FiniteQuotientHom,
+                              SeparationNotFound, SeparationWitness,
+                              _BitImage, _broken_relator, abelianize_even,
                               composite_hom, perm_hom, retraction_hom,
                               separate, separation_plan, specialize,
                               todd_coxeter)
@@ -24,6 +26,11 @@ A3 = coxeter_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
 RA = coxeter_matrix([[1, 2, INF], [2, 1, INF], [INF, INF, 1]])
 B2T = coxeter_matrix([[1, 4, 2], [4, 1, 4], [2, 4, 1]])
 DINF = coxeter_matrix([[1, INF], [INF, 1]])
+SQ = coxeter_matrix([[1, INF, 2, INF], [INF, 1, INF, 2],
+                     [2, INF, 1, INF], [INF, 2, INF, 1]])
+B2TA1 = coxeter_matrix([[1, 4, 2, 2], [4, 1, 4, 2], [2, 4, 1, 2], [2, 2, 2, 1]])
+I4I6 = coxeter_matrix([[1, 4, 2, 2], [4, 1, 2, 2], [2, 2, 1, 6], [2, 2, 6, 1]])
+B3 = coxeter_matrix([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
 
 
 def rand_elt(rng, M, L):
@@ -107,6 +114,30 @@ def test_homs_verify_relators():
                     for _ in range(int(m)):
                         img = hom.image.mult(img, step)
                     assert img == hom.image.identity
+
+
+def test_plan_skips_only_cosets_that_cannot_close():
+    """Every proper W_J the plan leaves out has infinite index: its enumeration
+    runs past the plan's cap of 1024 cosets."""
+    for M in (B2T, RA, SQ, B2TA1, I4I6, B3):
+        labels = [h.label for h in separation_plan(M)]
+        for r in range(1, M.n):
+            for J in combinations(range(M.n), r):
+                head = "cosets of W_{%s} " % ",".join(str(s + 1) for s in J)
+                if not any(lab.startswith(head) for lab in labels):
+                    table = todd_coxeter(M, [(s,) for s in J], 1024)
+                    assert isinstance(table, CapExceeded), (M.rows, J)
+    assert "cosets of W_{1,2,3} (index 2)" in [h.label for h in separation_plan(B2TA1)]
+    assert sum(h.kind == "perm" for h in separation_plan(I4I6)) == 14
+
+
+def test_broken_relator_reports_the_first_pair():
+    assert _broken_relator(B2, [0b01, 0b10], lambda a, b: a ^ b, 0) is None
+    bad = [0b01, 0b10, 0]
+    three = coxeter_matrix([[1, 2, 3], [2, 1, 2], [3, 2, 1]])
+    assert _broken_relator(three, bad, lambda a, b: a ^ b, 0) == (0, 2, 3)
+    with pytest.raises(ValueError, match=r"relator \(1,3\)\^3 not killed by bad"):
+        FiniteQuotientHom(three, "abelianization", "bad", bad, _BitImage(2))
 
 
 def test_separate_witnesses():
