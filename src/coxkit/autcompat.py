@@ -15,12 +15,11 @@ from itertools import combinations, permutations
 
 from .budgets import DEFAULT
 from .diagram import INF, is_crystallographic, is_irreducible, is_spherical
-from .finite import finite_model
+from .finite import class_search, finite_model
 from .quotients import SeparationWitness, _broken_relator, separate
-from .words import (Element, IDENTITY, _check, _conj_orbit, _conjugator,
-                    _generators, _orbit, _path_moves, _right_orbit, conjugate,
-                    element_order, invert, multiply, parse_word, format_word,
-                    reduce, support)
+from .words import (Element, IDENTITY, _check, _conjugator, _generators, _orbit,
+                    _path_moves, _right_orbit, conjugate, element_order, invert,
+                    multiply, parse_word, format_word, reduce, support)
 
 
 @dataclass(frozen=True)
@@ -214,23 +213,11 @@ def _conj_to_any(M, x, targets, budget):
     """
     targets = [reduce(M, t, budget.steps) for t in targets]
     x = reduce(M, x, budget.steps)
-    G = finite_model(M, budget.enum_cap)
-    if G is not None:
-        parent = G.class_orbit(G.index_of(x.letters))
-        for t in targets:
-            ti = G.index_of(t.letters)
-            if ti in parent:
-                g = reduce(M, tuple(_path_moves(parent, ti)), budget.steps)
-                _check(conjugate(M, g, x, budget.steps) == t, "class orbit conjugator")
-                return t, g
-        return False
-    status, parent = _conj_orbit(M, x, radius=budget.radius, cap=budget.class_cap,
-                                 steps=budget.steps)
-    for t in targets:
-        if t in parent:
-            g = _conjugator(M, parent, t, budget.steps)
-            _check(conjugate(M, g, x, budget.steps) == t, "conjugation orbit conjugator")
-            return t, g
+    status, hit, _ = class_search(M, x, targets, budget, budget.radius, budget.class_cap)
+    if hit:
+        t, g = hit
+        _check(conjugate(M, g, x, budget.steps) == t, "conjugation orbit conjugator")
+        return hit
     if status == "closed":
         return False
     for t in targets:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from .budgets import DEFAULT
 from .diagram import (components, embed_letters, is_even, is_spherical,
                       retraction_valid, spherical_order)
+from .finite import class_search
 from .quotients import (SeparationNotFound, SeparationWitness, abelianize_even,
                         separate)
 from .words import (Element, IDENTITY, _check, _conj_orbit, _conjugator,
@@ -151,17 +152,16 @@ def _decide_sub(M, S, x, y, budget):
 
 
 def _search_or_separate(M, x, y, budget, radius, cap):
-    """Search x's conjugation orbit for y, then try quotient separation.
+    """Search x's conjugacy class for y, then try quotient separation.
 
     Returns Conjugate, NotConjugate (closed class or separating quotient),
     or separate's SeparationNotFound, for the caller to word as Unknown.
     """
-    status, parent = _conj_orbit(M, x, target=y, radius=radius, cap=cap,
-                                 steps=budget.steps)
-    if status == "found":
-        return _certified(M, _conjugator(M, parent, y, budget.steps), x, y, budget)
+    status, hit, size = class_search(M, x, [y], budget, radius, cap)
+    if hit:
+        return _certified(M, hit[1], x, y, budget)
     if status == "closed":
-        return NotConjugate(ClosedClassCertificate(len(parent)))
+        return NotConjugate(ClosedClassCertificate(size))
     wit = separate(M, x, y, budget=budget)
     if isinstance(wit, SeparationWitness):
         return NotConjugate(QuotientCertificate(wit))
@@ -264,7 +264,8 @@ def _criterion_decide(M, I, J, x, y, budget):
 
 def decide_conjugacy(M, x, y, budget=DEFAULT):
     """Decide conjugacy in any Coxeter group: decide_conjugacy_even when M
-    is even, else an uncapped conjugator search within the radius, then
+    is even, else a search of the whole class when W is finite within
+    enum_cap and an uncapped one within the radius otherwise, then
     quotient separation."""
     if is_even(M):
         return decide_conjugacy_even(M, x, y, budget)
@@ -308,7 +309,7 @@ def _verify_cert(M, x, y, cert, budget):
         return (xi == cert.witness.x_img and yi == cert.witness.y_img
                 and hom.image.are_conjugate(xi, yi) is False)
     if isinstance(cert, ClosedClassCertificate):
-        status, parent = _conj_orbit(M, x, target=y,
+        status, parent = _conj_orbit(M, x, (y,),
                                      cap=max(cert.class_size, budget.class_cap),
                                      steps=budget.steps)
         return status == "closed" and len(parent) == cert.class_size

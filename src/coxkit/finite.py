@@ -2,20 +2,26 @@
 
 Elements are integers 0..N-1 with 0 the identity.  The whole group is laid
 out by a breadth-first sweep that tries generators in index order, so the
-word attached to each element is its ShortLex canonical form.  All the
-group structure a caller needs (multiplication against generators,
-inverses, conjugation, conjugacy classes) is precomputed into flat lists.
-finite_model keeps one such model per matrix.
+word attached to each element is its ShortLex canonical form.  The sweep
+runs over the verified coset table of the trivial subgroup, or over any
+faithful action.  All the group structure a caller needs (multiplication
+against generators, inverses, conjugation, conjugacy classes) is
+precomputed into flat lists.  finite_model keeps one such model per
+matrix, and class_search answers every conjugacy question on it, falling
+back to a bounded word-engine orbit when W is infinite or too large.
 """
 
 from .diagram import spherical_order
-from .words import IDENTITY, _generators, _orbit, multiply
+from .words import (BudgetExceeded, Element, _check, _conj_orbit, _conjugator,
+                    _orbit, _path_moves, format_word)
 
 
 class FiniteGroup:
+    identity = 0
+
     def __init__(self, n, right, words):
         self.n = n
-        self.size = len(words)
+        self.size = self.order = len(words)
         self.right = right
         self.words = words
         self._index = {w: i for i, w in enumerate(words)}
@@ -24,9 +30,17 @@ class FiniteGroup:
 
     @classmethod
     def from_matrix(cls, M, cap=10 ** 5):
-        """Build via the word engine; None if the group outgrows cap."""
-        gens = _generators(M)
-        return cls._build(M.n, IDENTITY, lambda e, s: multiply(M, e, gens[s]), cap)
+        """Lay W(M) out over its coset table; None when W(M) is infinite or
+        larger than cap, BudgetExceeded past 16 |W| cosets."""
+        from .quotients import CapExceeded, todd_coxeter  # quotients imports finite
+        order = spherical_order(M, frozenset(range(M.n)))
+        if order is None or order > cap:
+            return None
+        table = todd_coxeter(M, (), 16 * order)
+        if isinstance(table, CapExceeded):
+            raise BudgetExceeded("coset enumeration of W exceeded %d cosets" % table.cap)
+        _check(table.size == order, "coset table has |W| rows")
+        return cls._build(M.n, 0, lambda c, s: table.perms[s][c], order)
 
     @classmethod
     def from_action(cls, n, act, cap=10 ** 6):
@@ -60,6 +74,9 @@ class FiniteGroup:
 
     def word(self, i):
         return self.words[i]
+
+    def show(self, i):
+        return format_word(self.words[i])
 
     def mult(self, i, j):
         for s in self.words[j]:
@@ -146,3 +163,27 @@ def finite_model(M, cap):
     if "finite_model" not in M._cache:
         M._cache["finite_model"] = FiniteGroup.from_matrix(M, cap=order)
     return M._cache["finite_model"]
+
+
+def class_search(M, x, targets, budget, radius, cap):
+    """(status, hit, size) for the reduced targets in the class of the reduced x.
+
+    hit is (t, g) with g x g^-1 = t for the first target t that lies in the
+    class, else None; size counts the class points reached.  A finite W(M)
+    within budget.enum_cap is searched whole on its model ('closed');
+    otherwise _conj_orbit searches within radius and cap.
+    """
+    G = finite_model(M, budget.enum_cap)
+    if G is not None:
+        parent = G.class_orbit(G.index_of(x.letters))
+        for t in targets:
+            ti = G.index_of(t.letters)
+            if ti in parent:
+                g = Element(G.word(G.index_of(_path_moves(parent, ti))))
+                return "closed", (t, g), len(parent)
+        return "closed", None, len(parent)
+    status, parent = _conj_orbit(M, x, targets, radius, cap, budget.steps)
+    for t in targets:
+        if t in parent:
+            return status, (t, _conjugator(M, parent, t, budget.steps)), len(parent)
+    return status, None, len(parent)

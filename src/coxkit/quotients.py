@@ -211,28 +211,6 @@ class _BitImage:
         return "(" + ",".join(str((a >> i) & 1) for i in range(self.k)) + ")"
 
 
-class _CoxImage:
-    """A finite Coxeter group as the image, conjugacy decided exactly."""
-
-    def __init__(self, group):
-        self.G = group
-        self.order = group.size
-        self.identity = 0
-
-    def mult(self, a, b):
-        return self.G.mult(a, b)
-
-    def inverse(self, a):
-        return self.G.inverse(a)
-
-    def are_conjugate(self, a, b):
-        return self.G.are_conjugate(a, b)
-
-    def show(self, a):
-        w = self.G.word(a)
-        return " ".join(str(i + 1) for i in w) if w else "e"
-
-
 def _cycle_type(p):
     seen = [False] * len(p)
     out = []
@@ -378,7 +356,7 @@ def _coxeter_hom(M, kind, label, I, T):
                          % (spherical_order(T, frozenset(range(T.n))), _IMAGE_ORDER_MAX))
     pos = {s: k for k, s in enumerate(sorted(I))}
     gen_images = [G.index_of((pos[s],)) if s in pos else 0 for s in range(M.n)]
-    return FiniteQuotientHom(M, kind, label, gen_images, _CoxImage(G))
+    return FiniteQuotientHom(M, kind, label, gen_images, G)
 
 
 def specialize(M, M2):

@@ -335,15 +335,21 @@ class NotFoundWithin:
     class_size: int = 0
 
 
-def _conj_orbit(M, x, target=None, radius=None, cap=None, steps=DEFAULT_STEPS):
+def _conj_orbit(M, x, targets=(), radius=None, cap=None, steps=DEFAULT_STEPS):
     """Orbit of x under conjugation by single generators.
 
-    Returns _orbit's (status, parent); _conjugator reads off the
-    conjugator of any point reached.
+    Returns _orbit's (status, parent), 'found' once every target has been
+    reached; _conjugator reads off the conjugator of any point reached.
     """
-    stop = None if target is None else (lambda z: z == target)
+    want, seen = frozenset(targets), set()
+
+    def all_seen(z):
+        if z in want:
+            seen.add(z)
+        return len(seen) == len(want)
+
     return _orbit(x, _generators(M), lambda z, g: conjugate(M, g, z, steps),
-                  radius, cap, stop)
+                  radius, cap, all_seen if want else None)
 
 
 def _conjugator(M, parent, z, steps=DEFAULT_STEPS):
@@ -358,7 +364,7 @@ def conjugate_search(M, x, y, radius=DEFAULT.radius, steps=DEFAULT_STEPS):
     """Look for g with g x g^-1 = y among conjugators of length <= radius."""
     x = reduce(M, x.letters if isinstance(x, Element) else x, steps)
     y = reduce(M, y.letters if isinstance(y, Element) else y, steps)
-    status, parent = _conj_orbit(M, x, target=y, radius=radius, steps=steps)
+    status, parent = _conj_orbit(M, x, (y,), radius, steps=steps)
     if status == "found":
         g = _conjugator(M, parent, y, steps)
         _check(conjugate(M, g, x, steps) == y, "conjugation orbit conjugator")

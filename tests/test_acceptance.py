@@ -254,9 +254,8 @@ def test_criterion_03_coxeter_product_minimal_parabolic():
 def test_criterion_04_parabolic_rank_bound_and_intersections():
     """Closure rank is at most the reflection count; intersections close.
 
-    The family runs up to the order-1152 group, whose model comes from
-    the root permutation action because its braid classes outgrow the
-    word engine.
+    The family runs up to the order-1152 group, whose reference model
+    comes from the root permutation action.
     """
     rows4, gens4 = product_family((4, 1))
     family = [
@@ -309,10 +308,7 @@ def test_criterion_04_parabolic_rank_bound_and_intersections():
                 assert info[pc][0] <= k
 
         for r in refl:
-            w = G.word(r)
-            if G.size > 500 and len(set(w)) == n:
-                continue
-            res = pc_element(M, Element(w))
+            res = pc_element(M, Element(G.word(r)))
             assert isinstance(res, PcExact)
             got = parabolic_set_of(G, res.parabolic)
             want = None

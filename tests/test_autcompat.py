@@ -158,9 +158,10 @@ def test_conjugator_checks_under_python_O():
     """The conjugator checks do not rely on assert, which python -O strips."""
     src = str(Path(coxkit.__file__).resolve().parent.parent)
     code = ("import coxkit.autcompat as a\n"
+            "import coxkit.finite as f\n"
             "from coxkit.diagram import coxeter_matrix\n"
             "from coxkit.words import Element, IDENTITY\n"
-            "a._conjugator = lambda *args: IDENTITY\n"
+            "a._conjugator = f._conjugator = lambda *args: IDENTITY\n"
             "C2 = coxeter_matrix([[1, 4, 2], [4, 1, 4], [2, 4, 1]])\n"
             "a.compat_report(C2, a.pair_from_spec(C2, a.inner_spec(C2, Element((1, 0)))))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],

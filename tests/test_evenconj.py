@@ -27,6 +27,7 @@ from oracles import (closure, compose, dihedral_gens, eval_word,
 B2 = coxeter_matrix([[1, 4], [4, 1]])
 I26 = coxeter_matrix([[1, 6], [6, 1]])
 A3 = coxeter_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+A4 = coxeter_matrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
 B2A1 = coxeter_matrix([[1, 4, 2], [4, 1, 2], [2, 2, 1]])
 B2T = coxeter_matrix([[1, 4, 2], [4, 1, 4], [2, 4, 1]])
 RA = coxeter_matrix([[1, 2, INF], [2, 1, INF], [INF, INF, 1]])
@@ -125,6 +126,10 @@ def test_decide_conjugacy_dispatch():
     assert d == NotConjugate(ClosedClassCertificate(6))
     assert verify_decision(A3, (0,), (0, 1), d)
     assert decide_conjugacy(A3, (0, 0, 1), (1,)) == Conjugate(IDENTITY)
+    # a finite W within enum_cap is searched whole, whatever the radius
+    d = decide_conjugacy(A4, (0,), (3,), SearchBudget(radius=1))
+    assert d == Conjugate(Element((2, 1, 0, 3, 2, 1)))
+    assert verify_decision(A4, (0,), (3,), d)
 
 
 def test_decide_even_finite_exhaustive():
@@ -242,7 +247,7 @@ def test_conjugator_checks_under_python_O():
     code = ("import coxkit.evenconj as e\n"
             "from coxkit.diagram import coxeter_matrix\n"
             "from coxkit.words import Element, IDENTITY\n"
-            "e._conjugator = lambda *args: IDENTITY\n"
+            "e.class_search = lambda M, x, ts, *rest: ('closed', (ts[0], IDENTITY), 1)\n"
             "B2 = coxeter_matrix([[1, 4], [4, 1]])\n"
             "e.decide_conjugacy_even(B2, Element((0,)), Element((1, 0, 1)))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],

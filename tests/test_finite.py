@@ -1,16 +1,22 @@
-"""Finite group models built from the word engine and from actions."""
+"""Finite group models built from the coset table and from actions."""
 
 import random
 
+from coxkit.budgets import DEFAULT, SearchBudget
 from coxkit.diagram import coxeter_matrix
-from coxkit.finite import FiniteGroup, finite_model
-from coxkit.words import Element, reduce
+from coxkit.finite import FiniteGroup, class_search, finite_model
+from coxkit.words import Element, conjugate, reduce
 
 import oracles
 
 A3 = coxeter_matrix([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
 B3 = coxeter_matrix([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
 I27 = coxeter_matrix([[1, 7], [7, 1]])
+B4 = coxeter_matrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]])
+D4 = coxeter_matrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
+H3 = coxeter_matrix([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
+C2T = coxeter_matrix([[1, 4, 2], [4, 1, 4], [2, 4, 1]])
+F4 = coxeter_matrix([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]])
 
 
 class PermAction:
@@ -34,17 +40,23 @@ def test_from_matrix_orders():
     assert finite_model(B3, 47) is None
     assert finite_model(B3, 48).size == 48
     assert finite_model(B3, 48) is finite_model(B3, 10 ** 5)
+    assert FiniteGroup.from_matrix(C2T) is None
 
 
 def test_from_matrix_agrees_with_action():
-    """Word-engine enumeration and orbit enumeration list identical words."""
+    """Coset-table enumeration and orbit enumeration list identical words."""
     for M, gens in ((A3, oracles.symmetric_gens(3)),
                     (B3, oracles.signed_gens(3)),
-                    (I27, oracles.dihedral_gens(7))):
+                    (I27, oracles.dihedral_gens(7)),
+                    (B4, oracles.signed_gens(4)),
+                    (D4, oracles.even_signed_gens(4)),
+                    (H3, oracles.icosahedral_gens()),
+                    (F4, oracles.f4_gens())):
         G1 = FiniteGroup.from_matrix(M)
         G2 = FiniteGroup.from_action(M.n, PermAction(gens))
         assert G1.size == G2.size
         assert G1.words == G2.words
+        assert G1.right == G2.right
 
 
 def test_mult_matches_permutations():
@@ -120,3 +132,30 @@ def test_reflections():
     G = FiniteGroup.from_matrix(A3)
     refl = G.reflections()
     assert len(refl) == 6
+
+
+def test_class_search_model_and_word_routes_agree():
+    """The model's class orbit and the word-engine orbit give the same
+    first target, conjugator and class size."""
+    G = finite_model(B3, DEFAULT.enum_cap)
+    word_route = SearchBudget(enum_cap=1)
+    targets = [reduce(B3, w) for w in ((2,), (1,), (1, 0, 2, 1), (2, 1), (0, 2))]
+    for x in map(Element, ((0,), (2,), (0, 1), (1, 2), (0, 2))):
+        cls = G.conjugacy_class(G.index_of(x.letters))
+        first = next((t for t in targets if G.index_of(t.letters) in cls), None)
+        status, hit, size = class_search(B3, x, targets, DEFAULT, 0, 0)
+        assert status == "closed" and size == len(cls)
+        assert (hit and hit[0]) == first
+        if hit:
+            assert conjugate(B3, hit[1], x) == first
+        status2, hit2, size2 = class_search(B3, x, targets, word_route, None, 48)
+        assert hit2 == hit
+        assert status2 == "found" or size2 == size
+
+
+def test_class_search_without_targets_never_finds():
+    """An empty target list only reports how the class search ended."""
+    for M, budget, radius, want in ((B3, DEFAULT, 2, "closed"),
+                                    (B3, SearchBudget(enum_cap=1), None, "closed"),
+                                    (C2T, DEFAULT, 2, "exhausted")):
+        assert class_search(M, Element((0,)), [], budget, radius, 100)[:2] == (want, None)
