@@ -253,19 +253,22 @@ def _pair_conj_search(M, s, t, dstset, budget):
     if G is not None:
         dst = frozenset(G.index_of(v.letters) for v in dstset)
         status, parent = _orbit((G.index_of(s.letters), G.index_of(t.letters)),
-                                range(M.n),
-                                lambda p, a: (G.conj_by_gen(a, p[0]), G.conj_by_gen(a, p[1])),
+                                lambda p: ((a, (G.conj_by_gen(a, p[0]), G.conj_by_gen(a, p[1])))
+                                           for a in range(M.n)),
                                 stop=lambda p: p[0] in dst and p[1] in dst)
         if status != "found":
             return None, status
         moves = _path_moves(parent, next(reversed(parent)))
         return reduce(M, tuple(moves), budget.steps), status
 
-    def step(pair, g):
-        return (conjugate(M, g, pair[0], budget.steps),
-                conjugate(M, g, pair[1], budget.steps))
+    gens = _generators(M)
 
-    status, parent = _orbit((s, t), _generators(M), step,
+    def neighbours(pair):
+        for g in gens:
+            yield g, (conjugate(M, g, pair[0], budget.steps),
+                      conjugate(M, g, pair[1], budget.steps))
+
+    status, parent = _orbit((s, t), neighbours,
                             budget.radius, budget.class_cap,
                             lambda pair: pair[0] in dstset and pair[1] in dstset)
     if status != "found":

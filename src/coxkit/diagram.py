@@ -7,6 +7,7 @@ graph are the irreducible factors.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -51,9 +52,14 @@ class CoxeterMatrix:
         return hash(self.rows)
 
 
+_LIVE = weakref.WeakValueDictionary()
+
+
 def coxeter_matrix(entries):
-    """Build a CoxeterMatrix from any nested sequence."""
-    return CoxeterMatrix(tuple(tuple(row) for row in entries))
+    """The one live CoxeterMatrix with these rows, from any nested sequence,
+    so equal matrices share its caches (reduce results, models, plans)."""
+    M = CoxeterMatrix(tuple(tuple(row) for row in entries))
+    return _LIVE.setdefault(M.rows, M)
 
 
 def parse_matrix(text):
@@ -79,8 +85,7 @@ def parse_matrix(text):
                 entries.append(int(tok))
             except ValueError:
                 raise ValueError("bad matrix entry %r" % tok)
-    rows = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
-    return CoxeterMatrix(rows)
+    return coxeter_matrix(entries[i * n:(i + 1) * n] for i in range(n))
 
 
 def format_matrix(M):
@@ -94,7 +99,7 @@ def submatrix(M, J):
     """Induced matrix on sorted(J), one object per subset, kept in M._cache.
 
     Keeping it lets the sub-matrix's own caches (reduce results, finite
-    model, separation plans) outlive the call that asked for it.
+    model, separation plans) live as long as M does.
     """
     key = ("submatrix", frozenset(J))
     if key not in M._cache:

@@ -235,22 +235,27 @@ def decide_conjugacy_even(M, x, y, budget=DEFAULT):
     return res
 
 
+def _conditions(M, I, J, x, y, steps):
+    """The criterion's three sub-problems (S, u, v) for x in W_I and y in
+    W_J: u and v conjugate in W_S, for S = I, J and I cap J."""
+    IJ = I & J
+    return ((I, x, retract(M, I, y, steps)),
+            (J, y, retract(M, J, x, steps)),
+            (IJ, retract(M, IJ, x, steps), retract(M, IJ, y, steps)))
+
+
 def _criterion_decide(M, I, J, x, y, budget):
     """Run the three conditions with recursive decisions as oracles.
 
     Returns Conjugate(g') with g' x g'^-1 = y, NotConjugate carrying the
     failed condition index, or Unknown when some oracle is inconclusive.
     """
-    IJ = frozenset(I) & frozenset(J)
-    conditions = ((I, x, retract(M, I, y, budget.steps)),
-                  (J, y, retract(M, J, x, budget.steps)),
-                  (IJ, retract(M, IJ, x, budget.steps), retract(M, IJ, y, budget.steps)))
     ds = []
-    for k, (S, u, v) in enumerate(conditions, 1):
+    for k, (S, u, v) in enumerate(_conditions(M, I, J, x, y, budget.steps), 1):
         # W_S is trivial when S is empty, and then u = v = 1
         d = _decide_sub(M, S, u, v, budget) if S else Conjugate(IDENTITY)
         if isinstance(d, NotConjugate):
-            return NotConjugate(CriterionCertificate(frozenset(I), frozenset(J), k,
+            return NotConjugate(CriterionCertificate(I, J, k,
                                                      d.certificate, IDENTITY, IDENTITY))
         ds.append(d)
     if any(isinstance(d, Unknown) for d in ds):
@@ -320,17 +325,10 @@ def _verify_cert(M, x, y, cert, budget):
     if isinstance(cert, CriterionCertificate):
         x2 = conjugate(M, cert.a, x, budget.steps)
         y2 = conjugate(M, cert.b, y, budget.steps)
-        if not (support(x2) <= cert.I and support(y2) <= cert.J):
+        if not (support(x2) <= cert.I and support(y2) <= cert.J
+                and cert.condition in (1, 2, 3)):
             return False
-        I, J = cert.I, cert.J
-        if cert.condition == 1:
-            S, u, v = I, x2, retract(M, I, y2, budget.steps)
-        elif cert.condition == 2:
-            S, u, v = J, y2, retract(M, J, x2, budget.steps)
-        else:
-            S = I & J
-            u = retract(M, S, x2, budget.steps)
-            v = retract(M, S, y2, budget.steps)
+        S, u, v = _conditions(M, cert.I, cert.J, x2, y2, budget.steps)[cert.condition - 1]
         return _verify_sub(M, S, u, v, cert.sub, budget)
     return False
 

@@ -55,7 +55,8 @@ class FiniteGroup:
     @classmethod
     def _build(cls, n, base, step, cap):
         """Index the orbit of base; each word is the path that first reached it."""
-        status, parent = _orbit(base, range(n), step, cap=cap)
+        status, parent = _orbit(base, lambda p: ((s, step(p, s)) for s in range(n)),
+                                cap=cap)
         if status != "closed":
             return None
         index = {p: i for i, p in enumerate(parent)}
@@ -109,7 +110,7 @@ class FiniteGroup:
 
     def class_orbit(self, x):
         """Conjugacy class of x as an orbit parent map under conj_by_gen."""
-        return _orbit(x, range(self.n), lambda z, s: self.conj_by_gen(s, z))[1]
+        return _orbit(x, lambda z: ((s, self.conj_by_gen(s, z)) for s in range(self.n)))[1]
 
     def conjugacy_class(self, x):
         return frozenset(self.class_orbit(x))
@@ -129,7 +130,8 @@ class FiniteGroup:
 
     def subgroup(self, seeds):
         """Closure of some element indices under multiplication."""
-        _, parent = _orbit(0, sorted(set(seeds)), self.mult)
+        seeds = sorted(set(seeds))
+        _, parent = _orbit(0, lambda a: ((b, self.mult(a, b)) for b in seeds))
         return frozenset(parent)
 
     def order_of(self, x):

@@ -27,9 +27,6 @@ class Parabolic:
     g: Element
     J: frozenset
 
-    def is_standard(self):
-        return self.g == IDENTITY
-
 
 def standard(J):
     return Parabolic(IDENTITY, frozenset(J))

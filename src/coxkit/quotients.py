@@ -254,7 +254,8 @@ class _PermImage:
         if _cycle_type(a) != _cycle_type(b):
             return False
         moves = [(g, self.inverse(g)) for g in self.gens]
-        status, _ = _orbit(a, moves, lambda z, m: self.mult(self.mult(m[0], z), m[1]),
+        status, _ = _orbit(a, lambda z: ((m, self.mult(self.mult(m[0], z), m[1]))
+                                         for m in moves),
                            cap=self.class_cap, stop=lambda z: z == b)
         return {"found": True, "closed": False}.get(status)
 
@@ -523,14 +524,13 @@ class SeparationNotFound:
     tried: int
 
 
-def separate(M, x, y, plan=None, budget=DEFAULT, transcript=None):
+def separate(M, x, y, budget=DEFAULT, transcript=None):
     """First hom in the plan whose image certifies non-conjugacy.
 
     A sound NotFound is always possible; conjugate inputs can never
     produce a witness because homomorphisms preserve conjugacy.
     """
-    if plan is None:
-        plan = separation_plan(M, budget)
+    plan = separation_plan(M, budget)
     for hom in plan:
         xi, yi = hom.image_of(x), hom.image_of(y)
         verdict = hom.image.are_conjugate(xi, yi)

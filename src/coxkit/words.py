@@ -8,9 +8,8 @@ index.  Every search takes an explicit step budget and raises rather than
 silently truncating.
 """
 
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .budgets import DEFAULT
 from .diagram import INF, component_ids, submatrix
@@ -78,7 +77,7 @@ def _alt(s, t, m):
 
 
 def _neighbors(rows, w):
-    """Words one braid move away."""
+    """(i, word) for each word one braid move at position i away."""
     out = []
     L = len(w)
     for i in range(L - 1):
@@ -89,7 +88,7 @@ def _neighbors(rows, w):
         if m == INF or m > L - i:
             continue
         if w[i:i + m] == _alt(s, t, m):
-            out.append(w[:i] + _alt(t, s, m) + w[i + m:])
+            out.append((i, w[:i] + _alt(t, s, m) + w[i + m:]))
     return out
 
 
@@ -100,29 +99,20 @@ def _scan_pair(w):
     return None
 
 
-def _orbit_scan(M, w, budget):
-    """BFS the braid orbit of w.
+def _braid_orbit(M, w, budget):
+    """_orbit over the braid moves of w, charging one budget step per new
+    word; 'found' at the first word with an adjacent repeated letter, else
+    'closed' with w's braid class, in which case w is reduced."""
 
-    Returns (word-with-adjacent-double, None) as soon as one shows up, or
-    (None, full orbit) if none exists, in which case w was reduced and the
-    orbit is its braid class.
-    """
-    rows = M.rows
-    seen = {w}
-    queue = deque((w,))
-    while queue:
-        cur = queue.popleft()
-        for nb in _neighbors(rows, cur):
-            if nb in seen:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceeded("braid search exceeded %d steps" % budget[1])
-            if _scan_pair(nb) is not None:
-                return nb, None
-            seen.add(nb)
-            queue.append(nb)
-    return None, seen
+    def stop(v):
+        if v is w:  # the start word is not new
+            return False
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BudgetExceeded("braid search exceeded %d steps" % budget[1])
+        return _scan_pair(v) is not None
+
+    return _orbit(w, partial(_neighbors, M.rows), stop=stop)
 
 
 def _reduce_single(M, w, budget):
@@ -133,10 +123,10 @@ def _reduce_single(M, w, budget):
             continue
         if len(w) < 2:
             return w
-        hit, orbit = _orbit_scan(M, w, budget)
-        if hit is None:
-            return min(orbit)
-        w = hit
+        status, parent = _braid_orbit(M, w, budget)
+        if status == "closed":
+            return min(parent)
+        w = next(reversed(parent))
 
 
 def _merge(parts):
@@ -231,7 +221,7 @@ def braid_class(M, w, steps=DEFAULT_STEPS):
     budget = [steps, steps]
     if len(_reduce_letters(M, w, budget)) != len(w):
         raise ValueError("word is not reduced")
-    return frozenset(_orbit_scan(M, w, budget)[1])
+    return frozenset(_braid_orbit(M, w, budget)[1])
 
 
 def reflections_of(M, w, steps=DEFAULT_STEPS):
@@ -252,15 +242,16 @@ class Infinite:
     cap: int
 
 
-def _orbit(start, moves, step, radius=None, cap=None, stop=None):
-    """Breadth-first orbit of start, trying moves in the order given.
+def _orbit(start, neighbours, radius=None, cap=None, stop=None):
+    """Breadth-first orbit of start.
 
-    step(p, m) is the point one move m away from p.  Returns (status,
-    parent), where parent maps every point reached to (previous point,
-    move) in discovery order, start to (None, None).  status is 'found'
-    once stop holds for a point, which is then the last one in parent;
-    'exhausted' once more than cap points are known, or when points at
-    distance radius remain; and 'closed' when the whole orbit is known.
+    neighbours(p) lists (move, point) for the points one move away from p,
+    in the order they are to be tried.  Returns (status, parent), where
+    parent maps every point reached to (previous point, move) in discovery
+    order, start to (None, None).  status is 'found' once stop holds for a
+    point, which is then the last one in parent; 'exhausted' once more
+    than cap points are known, or when points at distance radius remain;
+    and 'closed' when the whole orbit is known.
     """
     parent = {start: (None, None)}
     if stop is not None and stop(start):
@@ -273,8 +264,7 @@ def _orbit(start, moves, step, radius=None, cap=None, stop=None):
         depth += 1
         new = []
         for p in level:
-            for m in moves:
-                q = step(p, m)
+            for m, q in neighbours(p):
                 if q in parent:
                     continue
                 parent[q] = (p, m)
@@ -299,7 +289,7 @@ def _path_moves(parent, p):
 
 def _right_orbit(M, gens, radius=None, cap=None, steps=DEFAULT_STEPS, stop=None):
     """Orbit of the identity under right multiplication by gens."""
-    return _orbit(IDENTITY, gens, lambda w, g: multiply(M, w, g, steps),
+    return _orbit(IDENTITY, lambda w: ((g, multiply(M, w, g, steps)) for g in gens),
                   radius, cap, stop)
 
 
@@ -348,7 +338,8 @@ def _conj_orbit(M, x, targets=(), radius=None, cap=None, steps=DEFAULT_STEPS):
             seen.add(z)
         return len(seen) == len(want)
 
-    return _orbit(x, _generators(M), lambda z, g: conjugate(M, g, z, steps),
+    gens = _generators(M)
+    return _orbit(x, lambda z: ((g, conjugate(M, g, z, steps)) for g in gens),
                   radius, cap, all_seen if want else None)
 
 

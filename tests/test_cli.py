@@ -275,3 +275,21 @@ def test_unknown_exits_2(files):
         assert d["verdict"] == "unknown"
     else:
         assert d["verdict"] in ("conjugate", "not-conjugate")
+
+
+def test_no_matrix_outlives_a_run(tmp_path):
+    """Each run parses its matrix afresh and keeps none of the matrices it
+    builds (the matrix itself, sub-matrices, lowered targets), so a cold
+    run stays cold.  The matrix here is used by no other test."""
+    from coxkit import diagram
+    path = str(tmp_path / "i26ra.cox")
+    Path(path).write_text("3\n1 6 2\n6 1 inf\n2 inf 1\n")
+    spec = str(tmp_path / "identity.spec")
+    Path(spec).write_text("1 -> 1\n2 -> 2\n3 -> 3\n\n1 -> 1\n2 -> 2\n3 -> 3\n")
+    before = set(diagram._LIVE.keys())
+    for argv in (["conj", path, "1 2 1 2", "2 1 2 1", "--verify"],
+                 ["separate", path, "1", "2"],
+                 ["pc", path, "1 3", "--verify"],
+                 ["autcheck", path, spec]):
+        assert run(argv)[0] == 0
+        assert set(diagram._LIVE.keys()) <= before

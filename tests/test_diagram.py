@@ -1,11 +1,12 @@
 """Diagram parsing, classification tables, and the even/442 gates."""
 
 import random
+import weakref
 
 import pytest
 
-from coxkit.diagram import (INF, classify, components, coxeter_matrix,
-                            format_matrix, has_442_triangle,
+from coxkit.diagram import (INF, CoxeterMatrix, classify, components,
+                            coxeter_matrix, format_matrix, has_442_triangle,
                             has_affine_subdiagram_rank_ge3, is_crystallographic,
                             is_even, is_irreducible, is_right_angled,
                             is_spherical, jperp, parse_matrix, spherical_order,
@@ -166,3 +167,31 @@ def test_submatrix_one_object_per_subset():
     assert submatrix(M, [2, 0]) is submatrix(M, (0, 2))
     assert submatrix(M, [2, 0]) is not submatrix(M, [0, 1])
     assert submatrix(M, {0, 2}).rows == ((1, 2), (2, 1))
+
+
+def test_one_matrix_per_row_tuple():
+    """Equal rows give one object, so equal matrices share their caches."""
+    rows = ((1, 4, 2), (4, 1, 4), (2, 4, 1))
+    assert coxeter_matrix(rows) is coxeter_matrix([list(r) for r in rows])
+    text = "3\n1 4 2\n4 1 4\n2 4 1\n"
+    M = parse_matrix(text)
+    assert parse_matrix(text) is M
+    assert coxeter_matrix(rows) is M
+    assert CoxeterMatrix(rows) is not M
+    # rows equal to live ones are still validated: 4.0 is not an integer
+    with pytest.raises(ValueError):
+        coxeter_matrix([[1, 4.0, 2], [4.0, 1, 4], [2, 4, 1]])
+    C2TA1 = mat((1, 4, 2, 2), (4, 1, 4, 2), (2, 4, 1, 2), (2, 2, 2, 1))
+    assert submatrix(C2TA1, {0, 1, 2}) is coxeter_matrix(rows)
+
+
+def test_matrix_table_holds_no_reference():
+    """A matrix goes once its last reference does, and the next request
+    builds a fresh one with empty caches."""
+    rows = ((1, 13), (13, 1))
+    M = coxeter_matrix(rows)
+    M._cache["probe"] = True
+    ref = weakref.ref(M)
+    del M
+    assert ref() is None
+    assert coxeter_matrix(rows)._cache == {}

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ A4 = coxeter_matrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
 B2A1 = coxeter_matrix([[1, 4, 2], [4, 1, 2], [2, 2, 1]])
 B2T = coxeter_matrix([[1, 4, 2], [4, 1, 4], [2, 4, 1]])
 RA = coxeter_matrix([[1, 2, INF], [2, 1, INF], [INF, INF, 1]])
+SQ = coxeter_matrix([[1, INF, 2, INF], [INF, 1, INF, 2], [2, INF, 1, INF], [INF, 2, INF, 1]])
 
 
 def rand_elt(rng, M, L):
@@ -200,6 +202,31 @@ def test_verify_rejects_wrong_certificates():
     # (0,) is not a component of B2 x A1, whose components are (0, 1) and (2,)
     bad = NotConjugate(ComponentCertificate((0,), OrderCertificate(2, 4)))
     assert not verify_decision(B2A1, Element((1,)), Element((0,)), bad)
+    # a and b must move x into W_I and y into W_J: s1 does not commute with
+    # s2, so s1 x s1 leaves W_{2,3,4}
+    budget = SearchBudget(radius=4, class_cap=256)
+    x, y = reduce(SQ, (1, 2, 3, 2, 3)), Element((1,))
+    d = decide_conjugacy_even(SQ, x, y, budget)
+    cert = d.certificate
+    assert (cert.I, cert.J, cert.condition) == ({1, 2, 3}, {1}, 1)
+    assert verify_decision(SQ, x, y, d, budget)
+    moved = NotConjugate(replace(cert, a=Element((0,))))
+    assert not verify_decision(SQ, x, y, moved, budget)
+    # Condition 3 never fails first in a decision, since condition 1
+    # implies it, so its check gets a certificate built by hand.  In RA,
+    # with I = {1, 3} and J = {1, 2}, s1 and s2 retract onto W_{1} as s1
+    # and 1, of orders 2 and 1; (1,) is a component of W_{1} but not of
+    # W_I, and condition 2's pair has orders 2 and 2, so only condition 3
+    # accepts this sub-certificate.
+    x, y = Element((0,)), Element((1,))
+    sub = ComponentCertificate((0,), OrderCertificate(2, 1))
+    cert = CriterionCertificate(frozenset({0, 2}), frozenset({0, 1}), 3,
+                                sub, IDENTITY, IDENTITY)
+    assert verify_decision(RA, x, y, NotConjugate(cert))
+    for wrong in (replace(cert, sub=ComponentCertificate((0,), OrderCertificate(1, 2))),
+                  replace(cert, condition=1), replace(cert, condition=2),
+                  replace(cert, condition=4)):
+        assert not verify_decision(RA, x, y, NotConjugate(wrong))
 
 
 def test_closed_class_certificate():

@@ -94,6 +94,10 @@ def test_pc_element_infinite_cases():
     assert isinstance(res2, PcExact)
     assert res2.parabolic.J == frozenset([0, 1])
 
+    # the square of a Coxeter element of C~2, found by trying generator orders
+    C2T = coxeter_matrix([[1, 4, 2], [4, 1, 4], [2, 4, 1]])
+    assert pc_element(C2T, Element((0, 1, 2, 0, 1, 2))) == PcExact(standard({0, 1, 2}))
+
 
 def test_pc_matches_brute_force_on_B3():
     """Exact closures agree with a scan over all parabolic subgroups."""

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from coxkit.diagram import INF, coxeter_matrix
+from coxkit.diagram import INF, CoxeterMatrix, coxeter_matrix
 from coxkit.words import (BudgetExceeded, Conjugator, Element, IDENTITY,
                           Infinite, NotFoundWithin, ball, braid_class,
                           conjugacy_class, conjugate, conjugate_search,
@@ -183,3 +183,13 @@ def test_element_order():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         reduce(G66, (0, 1) * 40, steps=5)
+
+
+def test_braid_steps_charge_one_per_new_word():
+    """One step per new word of the braid search: this C~2 word needs 5243."""
+    rows = ((1, 4, 2), (4, 1, 4), (2, 4, 1))
+    w = (2, 1, 0, 1, 2, 0, 1) * 5
+    # direct CoxeterMatrix calls give fresh matrices with empty reduce caches
+    assert len(reduce(CoxeterMatrix(rows), w, steps=5243)) == 31
+    with pytest.raises(BudgetExceeded):
+        reduce(CoxeterMatrix(rows), w, steps=5242)
