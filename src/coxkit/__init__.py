@@ -1,8 +1,8 @@
 """Exact computation in Coxeter groups.
 
-Words and braid rewriting, diagram classification, parabolic closures,
-even-case conjugacy decisions with certificates, finite quotients for
-conjugacy separation, and automorphism compatibility audits.
+Canonical words (root action or braid rewriting), diagram classification,
+parabolic closures, even-case conjugacy decisions with certificates, finite
+quotients for conjugacy separation, and automorphism compatibility audits.
 """
 
 from .budgets import DEFAULT, SearchBudget
@@ -11,6 +11,7 @@ from .diagram import (INF, CoxeterMatrix, DiagramClassification, classify,
                       is_crystallographic, is_irreducible, is_right_angled,
                       is_spherical, parse_matrix, spherical_order, submatrix,
                       theorem12_applicable)
+from .roots import cartan, shortlex
 from .words import (BudgetExceeded, Conjugator, Element, IDENTITY, Infinite,
                     NotFoundWithin, ball, braid_class, conjugacy_class,
                     conjugate, conjugate_search, element_order,

@@ -356,7 +356,8 @@ def _add_flags(p, top):
     p.add_argument("--radius", type=int, default=d(DEFAULT.radius),
                    help="conjugation search radius (default %d)" % DEFAULT.radius)
     p.add_argument("--steps", type=int, default=d(DEFAULT.steps),
-                   help="braid rewriting step cap (default %d)" % DEFAULT.steps)
+                   help="word reduction step cap: one step per letter of the root"
+                   " action, or per new braid-class word (default %d)" % DEFAULT.steps)
     p.add_argument("--cosets", type=int, default=d(DEFAULT.cosets),
                    help="coset enumeration cap (default %d)" % DEFAULT.cosets)
     p.add_argument("--verify", action="store_true", default=d(False),
@@ -390,8 +391,11 @@ def _build_parser():
     return p
 
 
+_PARSER = _build_parser()
+
+
 def run(argv):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.radius < 1 or args.steps < 1 or args.cosets < 1:
         raise InputError("budgets must be positive")
     budget = SearchBudget(radius=args.radius, steps=args.steps,

@@ -1,11 +1,12 @@
 """Exact word arithmetic in a Coxeter group.
 
-Two reduced words spell the same element iff they are connected by braid
-moves, so equality, reduction and canonical forms all come down to
-searching the braid class of a word.  The canonical form of an element is
-the ShortLex-least member of its braid class, with generators ordered by
-index.  Every search takes an explicit step budget and raises rather than
-silently truncating.
+The canonical form of an element is the ShortLex-least member of its braid
+class, with generators ordered by index.  When every m_ij lies in
+{2, 3, 4, 6, inf}, reduction reads it off the integer root action
+(`roots`), at one budget step per letter.  Otherwise it searches braid
+classes, since two reduced words spell the same element iff they are
+connected by braid moves, at one step per new word.  Every search takes an
+explicit step budget and raises rather than silently truncating.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from functools import lru_cache, partial
 
 from .budgets import DEFAULT
 from .diagram import INF, component_ids, submatrix
+from .roots import cartan, shortlex
 
 DEFAULT_STEPS = DEFAULT.steps
 
@@ -146,14 +148,21 @@ def _reduce_letters(M, w, budget):
     hit = cache.get(w)
     if hit is not None:
         return hit
-    ids = component_ids(M)
-    present = sorted({ids[a] for a in w})
-    if len(present) > 1:
-        parts = [_reduce_letters(M, tuple(a for a in w if ids[a] == c), budget)
-                 for c in present]
-        res = _merge(parts)
+    A = cartan(M)
+    if A is not None:
+        budget[0] -= len(w)  # one step per letter
+        if budget[0] < 0:
+            raise BudgetExceeded("root action exceeded %d steps" % budget[1])
+        res = shortlex(A, w)
     else:
-        res = _reduce_single(M, w, budget)
+        ids = component_ids(M)
+        present = sorted({ids[a] for a in w})
+        if len(present) > 1:
+            parts = [_reduce_letters(M, tuple(a for a in w if ids[a] == c), budget)
+                     for c in present]
+            res = _merge(parts)
+        else:
+            res = _reduce_single(M, w, budget)
     cache[w] = res
     cache[res] = res
     return res

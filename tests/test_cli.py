@@ -89,6 +89,17 @@ def test_reduce_with_verify(files):
     assert as_dict(out2)["verify"] == "ok"
 
 
+def test_parser_keeps_no_state_between_runs(files):
+    """The parser is built once; flags of one run must not reach the next."""
+    fresh = run(["reduce", files["b2t"], "1 2 1 2 3"])
+    code, out = run(["reduce", files["b2t"], "1 2 1 2 3", "--verify", "--radius", "3"])
+    assert code == 0 and ("verify", "ok") in out and ("radius", "3") in out
+    again = run(["reduce", files["b2t"], "1 2 1 2 3"])
+    assert again == fresh
+    assert ("radius", "8") in again[1]
+    assert all(key != "verify" for key, _ in again[1])
+
+
 def test_conj_even_conjugate(files):
     code, out = run(["conj", files["b2t"], "1", "2 1 2", "--verify"])
     d = as_dict(out)

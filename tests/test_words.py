@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxkit.diagram import INF, CoxeterMatrix, coxeter_matrix
 from coxkit.words import (BudgetExceeded, Conjugator, Element, IDENTITY,
@@ -11,6 +12,7 @@ from coxkit.words import (BudgetExceeded, Conjugator, Element, IDENTITY,
                           element_order, enumerate_group, format_word,
                           generator, invert, length, multiply, parse_word,
                           reduce, reflections_of, support)
+from coxkit.roots import cartan
 
 import oracles
 
@@ -19,6 +21,11 @@ B2 = coxeter_matrix([[1, 4], [4, 1]])
 B3 = coxeter_matrix([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
 DINF = coxeter_matrix([[1, INF], [INF, 1]])
 G66 = coxeter_matrix([[1, 6, 2, 2], [6, 1, 2, 2], [2, 2, 1, 6], [2, 2, 6, 1]])
+C2T = coxeter_matrix([[1, 4, 2], [4, 1, 4], [2, 4, 1]])
+G2T = coxeter_matrix([[1, 6, 2], [6, 1, 3], [2, 3, 1]])
+EV4 = coxeter_matrix([[1, 4, 4, 2], [4, 1, 4, 2], [4, 4, 1, 4], [2, 2, 4, 1]])
+PENT = coxeter_matrix([[1, 2, INF, INF, 2], [2, 1, 2, INF, INF], [INF, 2, 1, 2, INF],
+                       [INF, INF, 2, 1, 2], [2, INF, INF, 2, 1]])
 
 
 def rand_word(rng, n, L):
@@ -64,10 +71,33 @@ def test_reduce_matches_plain_search_oracle():
 def test_reduce_infinite_matrices():
     rng = random.Random(12)
     tri = coxeter_matrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
-    for M in (DINF, tri):
+    for M in (DINF, tri, C2T, G2T, EV4, PENT):
         for _ in range(80):
             w = rand_word(rng, M.n, rng.randint(0, 8))
             assert reduce(M, w).letters == oracles.oracle_reduce(M.rows, w)
+
+
+@st.composite
+def _matrix_and_word(draw):
+    """A rank 2-5 matrix with entries in {2, 3, 4, 6, inf}, or half the
+    time with m_12 in {5, 7}, and a word of at most 10 letters."""
+    n = draw(st.integers(2, 5))
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from([2, 3, 4, 6, INF]))
+    if draw(st.booleans()):
+        rows[0][1] = rows[1][0] = draw(st.sampled_from([5, 7]))
+    w = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    return CoxeterMatrix(tuple(map(tuple, rows))), tuple(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_and_word())
+def test_reduce_matches_oracle_on_random_matrices(case):
+    """Both sides of the root-action / braid-search selection."""
+    M, w = case
+    assert reduce(M, w).letters == oracles.oracle_reduce(M.rows, w)
 
 
 def test_reduce_is_canonical_in_class():
@@ -186,10 +216,22 @@ def test_budget_exceeded():
 
 
 def test_braid_steps_charge_one_per_new_word():
-    """One step per new word of the braid search: this C~2 word needs 5243."""
-    rows = ((1, 4, 2), (4, 1, 4), (2, 4, 1))
+    """One step per new word of the braid search, which still runs when some
+    m_ij is 5: this word needs 5631."""
+    rows = ((1, 5, 2), (5, 1, 4), (2, 4, 1))
     w = (2, 1, 0, 1, 2, 0, 1) * 5
     # direct CoxeterMatrix calls give fresh matrices with empty reduce caches
-    assert len(reduce(CoxeterMatrix(rows), w, steps=5243)) == 31
+    assert len(reduce(CoxeterMatrix(rows), w, steps=5631)) == 35
     with pytest.raises(BudgetExceeded):
-        reduce(CoxeterMatrix(rows), w, steps=5242)
+        reduce(CoxeterMatrix(rows), w, steps=5630)
+
+
+def test_root_steps_charge_one_per_letter():
+    """C~2 reduces by the root action, at one step per input letter."""
+    rows = ((1, 4, 2), (4, 1, 4), (2, 4, 1))
+    w = (2, 1, 0, 1, 2, 0, 1) * 5
+    assert cartan(CoxeterMatrix(rows)) is not None
+    assert cartan(CoxeterMatrix(((1, 5, 2), (5, 1, 4), (2, 4, 1)))) is None
+    assert len(reduce(CoxeterMatrix(rows), w, steps=35)) == 31
+    with pytest.raises(BudgetExceeded):
+        reduce(CoxeterMatrix(rows), w, steps=34)
